@@ -56,22 +56,35 @@ class NoiseModel:
             raise InvalidHyperparameterError("noise variance must be positive")
 
 
-def _noisy_gram_factor(
-    data: Dataset, kernel: kernels.KernelSpec, noise: NoiseModel
-) -> chol.LowerFactor:
-    K = kernels.gram(kernel, data.X)
-    K[np.diag_indices_from(K)] += noise.variance
-    return chol.factor(K)
+@dataclass(frozen=True)
+class DenseSystem:
+    """Noise-free Gram K of the inputs and the factor of K + noise*I, built once."""
+
+    K: np.ndarray
+    noisy: chol.LowerFactor
+
+    def log_marginal_likelihood(self, y) -> float:
+        """Log density of y under the zero-mean prior with noisy Gram K + noise*I."""
+        alpha = solve_triangular(self.noisy.L, y, lower=True, check_finite=False)
+        quad = float(alpha @ alpha)
+        return -0.5 * quad - 0.5 * chol.log_det(self.noisy) - 0.5 * len(y) * LOG_2PI
+
+
+def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> DenseSystem:
+    """The O(N^3) part of an instance, which every dense entry point reads."""
+    K = kernels.gram(kernel, X)
+    k_diag = K.diagonal().copy()
+    np.fill_diagonal(K, k_diag + noise.variance)
+    noisy = chol.factor(K)
+    np.fill_diagonal(K, k_diag)  # the factor does not alias K; no second N x N array
+    return DenseSystem(K, noisy)
 
 
 def log_marginal_likelihood(
     data: Dataset, kernel: kernels.KernelSpec, noise: NoiseModel
 ) -> float:
     """Log density of y under the zero-mean prior with noisy Gram K_ff + noise*I."""
-    f = _noisy_gram_factor(data, kernel, noise)
-    alpha = solve_triangular(f.L, data.y, lower=True, check_finite=False)
-    quad = float(alpha @ alpha)
-    return -0.5 * quad - 0.5 * chol.log_det(f) - 0.5 * data.n * LOG_2PI
+    return dense_system(data.X, kernel, noise).log_marginal_likelihood(data.y)
 
 
 def posterior(
@@ -81,10 +94,10 @@ def posterior(
     X_query = np.asarray(X_query, dtype=float)
     if X_query.ndim == 1:
         X_query = X_query[:, None]
-    f = _noisy_gram_factor(data, kernel, noise)
+    L = dense_system(data.X, kernel, noise).noisy.L
     Ks = kernels.gram(kernel, data.X, X_query)
-    V = solve_triangular(f.L, Ks, lower=True, check_finite=False)
-    alpha = solve_triangular(f.L, data.y, lower=True, check_finite=False)
+    V = solve_triangular(L, Ks, lower=True, check_finite=False)
+    alpha = solve_triangular(L, data.y, lower=True, check_finite=False)
     mean = V.T @ alpha
     cov = kernels.gram(kernel, X_query) - V.T @ V
     return mean, 0.5 * (cov + cov.T)
@@ -94,11 +107,5 @@ def sample_prior_outputs(
     X, kernel: kernels.KernelSpec, noise: NoiseModel, seed: int
 ) -> np.ndarray:
     """Draw y ~ N(0, K_ff + noise*I); reproducible for a fixed seed."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    K = kernels.gram(kernel, X)
-    K[np.diag_indices_from(K)] += noise.variance
-    f = chol.factor(K)
-    rng = np.random.default_rng(seed)
-    return f.L @ rng.standard_normal(X.shape[0])
+    L = dense_system(X, kernel, noise).noisy.L
+    return L @ np.random.default_rng(seed).standard_normal(L.shape[0])

@@ -8,6 +8,7 @@ check, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -39,6 +40,7 @@ _PLOTS = {
 }
 
 
+@functools.cache  # main() may run many times in one process; build the parser once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsegp",

@@ -312,7 +312,6 @@ chain_steps = 2000
 seeds = 0:100
 dispersion_lengthscales = 2.0 0.5
 out_csv = dispersion.csv
-out_svg = dispersion.svg
 """,
 }
 

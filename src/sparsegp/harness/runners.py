@@ -109,12 +109,11 @@ def _fill_apriori(
             n, m, cfg.delta, eps, cfg.kernel.variance, report.norm_y_sq, s2, tail
         )
         report.thm4 = bounds.thm4(n, m, cfg.delta, eps, cfg.kernel.variance, s2, tail)
-    if report.kl_exact is not None:
-        p1 = bounds.prop1_pointwise(0.0, 1.0, report.kl_exact)
-        if p1.applicable:
-            report.prop1_mean_factor = p1.mean_dev
-            report.prop1_var_lo = p1.var_ratio_lo
-            report.prop1_var_hi = p1.var_ratio_hi
+    p1 = bounds.prop1_pointwise(0.0, 1.0, report.kl_exact)
+    if p1.applicable:
+        report.prop1_mean_factor = p1.mean_dev
+        report.prop1_var_lo = p1.var_ratio_lo
+        report.prop1_var_hi = p1.var_ratio_hi
 
 
 def _violations(report: svgp.BoundReport) -> str:
@@ -129,13 +128,12 @@ def _violations(report: svgp.BoundReport) -> str:
         bad.append("elbo>refined")
     if report.upper_refined > report.upper + scale:
         bad.append("refined>upper")
-    if report.kl_exact is not None:
-        if report.kl_exact < 0:
-            bad.append("kl<0")
-        if report.kl_exact > report.upper_refined - report.elbo + scale:
-            bad.append("kl>refined-gap")
-        if report.lemma1 is not None and report.kl_exact > report.lemma1 + scale:
-            bad.append("kl>lemma1")
+    if report.kl_exact < 0:
+        bad.append("kl<0")
+    if report.kl_exact > report.upper_refined - report.elbo + scale:
+        bad.append("kl>refined-gap")
+    if report.lemma1 is not None and report.kl_exact > report.lemma1 + scale:
+        bad.append("kl>lemma1")
     if (
         report.lemma1 is not None
         and report.lemma1_loose is not None
@@ -166,7 +164,7 @@ def _run_cell(
     ind = _select_inducing(cfg, X, m, _derived_seed(seed, n, m, _PHASE_SELECT))
     m_used = ind.count
     t1 = time.perf_counter()
-    report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind, dense_limit=dense_limit)
+    report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind)
     t2 = time.perf_counter()
     _fill_apriori(report, cfg, n, m_used, tail)
     t3 = time.perf_counter()
@@ -208,7 +206,7 @@ def _sorted_rows(rows: list[ResultRow]) -> list[ResultRow]:
 
 
 def run_fixed_m(cfg: ExperimentConfig, dense_limit: int = 5000) -> list[ResultRow]:
-    """Sweep N with a fixed inducing count (growing-dataset experiment)."""
+    """Sweep N with M from the configured rule (fixed, or logarithmic for the log schedule)."""
     tail = _spectrum_tail(cfg)
     rows = []
     for seed in cfg.seeds:
@@ -229,15 +227,7 @@ def run_m_sweep(cfg: ExperimentConfig, dense_limit: int = 5000) -> list[ResultRo
     return _sorted_rows(rows)
 
 
-def run_log_schedule(cfg: ExperimentConfig, dense_limit: int = 5000) -> list[ResultRow]:
-    """Grow N with M following the configured (logarithmic) schedule."""
-    tail = _spectrum_tail(cfg)
-    rows = []
-    for seed in cfg.seeds:
-        for n in cfg.n_grid:
-            m = min(cfg.m_rule.resolve(n, cfg), n)
-            rows.append(_run_cell(cfg, seed, n, m, dense_limit, tail))
-    return _sorted_rows(rows)
+run_log_schedule = run_fixed_m
 
 
 def _cluster_sample(n: int, seed: int) -> np.ndarray:

@@ -147,7 +147,7 @@ class BoundReport:
     elbo: float
     upper: float
     upper_refined: float
-    kl_exact: float | None
+    kl_exact: float
     norm_y_sq: float
     jitter_used: float
     lemma1: float | None = None
@@ -206,30 +206,29 @@ def _whiten(ops: FeatureOperators) -> tuple[np.ndarray, chol.LowerFactor]:
     return A, f
 
 
-def _shifted_quad_logdet(
-    A: np.ndarray, y: np.ndarray, noise_var: float, shift: float
-) -> tuple[float, float]:
-    """Quadratic form y^T (A^T A + (noise+shift) I)^{-1} y and log|A^T A + noise I|.
+def _log_bound(A: np.ndarray, y: np.ndarray, noise_var: float, shift: float) -> float:
+    """Log density of y under N(0, A^T A + noise I), via the M x M system.
 
     The log-determinant always uses the unshifted noise (that is what both
-    the lower and upper bounds share); the quadratic form uses the shifted
-    noise.  Both go through the M x M system.
+    the lower and upper bounds share); the quadratic form uses the noise
+    plus ``shift``.
     """
     n = y.shape[0]
     s = noise_var + shift
     m = A.shape[0]
     if m == 0:
-        return float(y @ y) / s, n * math.log(noise_var)
-    B_shift = np.eye(m) + (A @ A.T) / s
-    c = solve_triangular(
-        np.linalg.cholesky(B_shift), A @ y, lower=True, check_finite=False
-    )
-    quad = (float(y @ y) - float(c @ c) / s) / s
-    B = B_shift if shift == 0.0 else np.eye(m) + (A @ A.T) / noise_var
-    logdet = n * math.log(noise_var) + 2.0 * float(
-        np.sum(np.log(np.diag(np.linalg.cholesky(B))))
-    )
-    return quad, logdet
+        quad, logdet = float(y @ y) / s, n * math.log(noise_var)
+    else:
+        B_shift = np.eye(m) + (A @ A.T) / s
+        c = solve_triangular(
+            np.linalg.cholesky(B_shift), A @ y, lower=True, check_finite=False
+        )
+        quad = (float(y @ y) - float(c @ c) / s) / s
+        B = B_shift if shift == 0.0 else np.eye(m) + (A @ A.T) / noise_var
+        logdet = n * math.log(noise_var) + 2.0 * float(
+            np.sum(np.log(np.diag(np.linalg.cholesky(B))))
+        )
+    return -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
 
 
 def elbo(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> float:
@@ -237,21 +236,14 @@ def elbo(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> float:
     y = np.asarray(y, dtype=float).ravel()
     A, _ = _whiten(ops)
     t = _trace_gap_from(ops.kff_diag, A)
-    quad, logdet = _shifted_quad_logdet(A, y, noise.variance, 0.0)
-    return (
-        -0.5 * quad
-        - 0.5 * logdet
-        - 0.5 * y.shape[0] * LOG_2PI
-        - t / (2.0 * noise.variance)
-    )
+    return _log_bound(A, y, noise.variance, 0.0) - t / (2.0 * noise.variance)
 
 
 def upper_bound(ops: FeatureOperators, y, noise: gp_exact.NoiseModel, t: float) -> float:
     """Trace-shifted upper bound on the log marginal likelihood, O(N M^2)."""
     y = np.asarray(y, dtype=float).ravel()
     A, _ = _whiten(ops)
-    quad, logdet = _shifted_quad_logdet(A, y, noise.variance, max(t, 0.0))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * y.shape[0] * LOG_2PI
+    return _log_bound(A, y, noise.variance, max(t, 0.0))
 
 
 def refined_upper_bound(
@@ -293,14 +285,16 @@ def lambda_max_gap(
     The result is clamped into [0, t]; exceeding t beyond round-off slack
     raises NumericalInconsistencyError.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n = X.shape[0]
     A, _ = _whiten(ops)
-    K = kernels.gram(kernel, X)
     t = _trace_gap_from(kernels.gram_diag(kernel, X), A)
-    floor = 1e-14 * n * kernel.variance
+    return _lambda_max_from(kernels.gram(kernel, X), A, t, kernel.variance, tol, max_iters)
+
+
+def _lambda_max_from(
+    K: np.ndarray, A: np.ndarray, t: float, variance: float, tol=1e-6, max_iters=None
+) -> float:
+    n = K.shape[0]
+    floor = 1e-14 * n * variance
     if max_iters is None:
         max_iters = 10 * n
 
@@ -332,7 +326,7 @@ def lambda_max_gap(
                 f"Lanczos did not converge within {max_iters} iterations"
             ) from exc
         lam = float(vals[0])
-    if lam > t + 1e-8 * max(t, 1.0) + 1e-12 * n * kernel.variance:
+    if lam > t + 1e-8 * max(t, 1.0) + 1e-12 * n * variance:
         raise NumericalInconsistencyError(
             f"largest residual eigenvalue {lam:.3e} exceeds trace gap {t:.3e}"
         )
@@ -407,7 +401,11 @@ def kl_exact(
     if data.n > dense_limit:
         raise DenseLimitExceededError(f"N={data.n} exceeds dense limit {dense_limit}")
     lml = gp_exact.log_marginal_likelihood(data, kernel, noise)
-    gap = lml - elbo(ops, data.y, noise)
+    return _kl_from(lml, elbo(ops, data.y, noise))
+
+
+def _kl_from(lml: float, lower: float) -> float:
+    gap = lml - lower
     if gap < -1e-8 * max(1.0, abs(lml)):
         raise NumericalInconsistencyError(f"negative KL {gap:.3e} beyond audit threshold")
     return max(gap, 0.0)
@@ -438,28 +436,26 @@ def evaluate(
     kernel: kernels.KernelSpec,
     noise: gp_exact.NoiseModel,
     inducing: InducingSet,
-    lambda_tol: float = 1e-6,
-    dense_limit: int = 5000,
-    compute_kl: bool = True,
 ) -> BoundReport:
-    """Compute the full certified-quantity report for one instance."""
+    """Compute the full certified-quantity report for one instance.
+
+    Every bound reads one whitened system; Lanczos and the exact KL read one
+    dense system (see :func:`gp_exact.dense_system`).
+    """
+    dense = gp_exact.dense_system(data.X, kernel, noise)
     ops = feature_operators(inducing, kernel, data.X)
-    _, f_uu = _whiten(ops)
-    t = trace_gap(kernel, data.X, ops)
-    lam = lambda_max_gap(kernel, data.X, ops, tol=lambda_tol)
-    lower = elbo(ops, data.y, noise)
-    upper = upper_bound(ops, data.y, noise, t)
-    refined = refined_upper_bound(ops, data.y, noise, lam)
-    kl = None
-    if compute_kl and data.n <= dense_limit:
-        kl = kl_exact(data, kernel, noise, ops, dense_limit=dense_limit)
+    A, f_uu = _whiten(ops)
+    s2 = noise.variance
+    t = _trace_gap_from(ops.kff_diag, A)
+    lam = _lambda_max_from(dense.K, A, t, kernel.variance)
+    lower = _log_bound(A, data.y, s2, 0.0) - t / (2.0 * s2)
     return BoundReport(
         t=t,
         lambda_max_tilde=lam,
         elbo=lower,
-        upper=upper,
-        upper_refined=refined,
-        kl_exact=kl,
+        upper=_log_bound(A, data.y, s2, t),
+        upper_refined=_log_bound(A, data.y, s2, lam),
+        kl_exact=_kl_from(dense.log_marginal_likelihood(data.y), lower),
         norm_y_sq=float(data.y @ data.y),
         jitter_used=f_uu.jitter_used,
     )

@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from sparsegp import chol, kernels
 from sparsegp.errors import ConfigError, DenseLimitExceededError
 from sparsegp.harness import PlotSpec, config, emit, runners
 
@@ -173,6 +175,31 @@ class TestRunners:
         assert runners.run_fixed_m(cfg, dense_limit=500) == runners.run_fixed_m(
             cfg, dense_limit=500
         )
+
+    def test_two_dense_grams_and_factors_per_cell(self, monkeypatch):
+        # Drawing y builds one N x N Gram and factor of K + s2 I; the Lanczos
+        # matvec and the exact KL share a second one.
+        cfg = config.parse_config_text(SMOKE_CONFIG)[0]
+        calls = Counter()
+        gram, factor = kernels.gram, chol.factor
+
+        def counting_gram(*args, **kwargs):
+            K = gram(*args, **kwargs)
+            calls["gram", K.shape] += 1
+            return K
+
+        def counting_factor(*args, **kwargs):
+            f = factor(*args, **kwargs)
+            calls["factor", f.L.shape] += 1
+            return f
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        monkeypatch.setattr(chol, "factor", counting_factor)
+        rows = runners.run_fixed_m(cfg, dense_limit=500)
+        assert len(rows) == len(cfg.seeds) * len(cfg.n_grid)
+        for n in cfg.n_grid:
+            assert calls["gram", (n, n)] == 2 * len(cfg.seeds)
+            assert calls["factor", (n, n)] == 2 * len(cfg.seeds)
 
     def test_m_sweep_monotone_kl_for_eigvec(self):
         text = """

@@ -446,9 +446,19 @@ class TestResidualPSD:
 
 class TestEvaluate:
     def test_report_consistency(self):
+        # The report equals the standalone public functions bit for bit.
         data, kern, noise = make_instance(26, n=40)
         Z = data.X[inducing.uniform_subset(40, 8, 0)]
+        ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
+        t = svgp.trace_gap(kern, data.X, ops)
+        lam = svgp.lambda_max_gap(kern, data.X, ops)
         report = svgp.evaluate(data, kern, noise, svgp.Points(Z))
+        assert report.t == t
+        assert report.lambda_max_tilde == lam
+        assert report.elbo == svgp.elbo(ops, data.y, noise)
+        assert report.upper == svgp.upper_bound(ops, data.y, noise, t)
+        assert report.upper_refined == svgp.refined_upper_bound(ops, data.y, noise, lam)
+        assert report.kl_exact == svgp.kl_exact(data, kern, noise, ops)
         assert 0 <= report.lambda_max_tilde <= report.t * (1 + 1e-8)
         assert report.elbo <= report.upper_refined + 1e-8 <= report.upper + 2e-8
         assert report.kl_exact == pytest.approx(
