@@ -2,7 +2,9 @@
 
 Each check recomputes a quantity along an independent route (full
 refactorization, exhaustive enumeration, closed-form algebra) and compares.
-``fast=True`` shrinks the budgets for use in quick smoke runs.
+``fast=True`` shrinks the budgets for use in quick smoke runs.  The
+acceptance suite runs the chain, trace-bound and Cholesky checks at its own
+budgets, so each check has exactly one implementation.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ class OracleCheck:
     detail: str
 
 
-def _check_chol_kit(n_ops: int) -> OracleCheck:
-    rng = np.random.default_rng(2024)
+def check_chol_kit(n_ops: int) -> OracleCheck:
+    """Random rank-one/append/remove edits against the matrix they factor."""
+    rng = np.random.default_rng(2025)
     dim = 4
     base = rng.standard_normal((dim, dim))
     A = base @ base.T + dim * np.eye(dim)
@@ -33,7 +36,7 @@ def _check_chol_kit(n_ops: int) -> OracleCheck:
     for _ in range(n_ops):
         op = rng.integers(3)
         if op == 0 or f.dim <= 1:
-            v = rng.standard_normal(f.dim)
+            v = rng.standard_normal(f.dim) * 0.3
             f = chol.rank_one_update(f, v)
             A = A + np.outer(v, v)
         elif op == 1 and f.dim < 12:
@@ -50,21 +53,24 @@ def _check_chol_kit(n_ops: int) -> OracleCheck:
             i = int(rng.integers(f.dim))
             f = chol.remove_index(f, i)
             A = np.delete(np.delete(A, i, axis=0), i, axis=1)
-        err = np.max(np.abs(f.reconstruct() - A)) / max(np.max(np.abs(A)), 1.0)
+        err = np.max(np.abs(f.reconstruct() - A)) / np.max(np.abs(A))
         worst = max(worst, err)
     return OracleCheck(
-        "chol-refactorization", worst <= 1e-8, f"max relative drift {worst:.2e} over {n_ops} ops"
+        "chol-refactorization",
+        worst <= 1e-8,
+        f"max drift {worst:.2e} over {n_ops} edits (tol 1e-8)",
     )
 
 
-def _check_expected_trace_bound(n_instances: int) -> OracleCheck:
-    rng = np.random.default_rng(7)
+def check_expected_trace_bound(n_instances: int) -> OracleCheck:
+    """Exact E[t] under the k-DPP against the (M+1) tail bound, by enumeration."""
+    rng = np.random.default_rng(1)
     n, m = 8, 3
     worst_gap = -math.inf
-    ok = True
+    violations = 0
     for _ in range(n_instances):
-        X = rng.normal(0.0, 1.5, (n, 1))
-        kern = kernels.squared_exponential(1.0, [float(rng.uniform(0.3, 1.5))])
+        X = rng.normal(0.0, 1.2, (n, 1))
+        kern = kernels.squared_exponential(1.0, [float(rng.uniform(0.3, 1.2))])
         table = inducing.exact_kdpp_enumeration(kern, X, m)
         expected_t = 0.0
         for subset, prob in table.items():
@@ -72,15 +78,18 @@ def _check_expected_trace_bound(n_instances: int) -> OracleCheck:
             expected_t += prob * svgp.trace_gap(kern, X, ops)
         lam = np.linalg.eigvalsh(kernels.gram(kern, X))[::-1]
         bound = bounds.nystrom_trace_bound(float(np.sum(lam[m:])), m, n, 1.0, 0.0)
-        gap = expected_t - bound
-        worst_gap = max(worst_gap, gap)
-        ok = ok and expected_t <= bound + 1e-10
+        worst_gap = max(worst_gap, expected_t - bound)
+        if expected_t > bound + 1e-10:
+            violations += 1
     return OracleCheck(
-        "expected-trace-bound", ok, f"max E[t]-bound gap {worst_gap:.2e} (must be <= 0)"
+        "expected-trace-bound",
+        violations == 0,
+        f"{violations} violations, max E[t]-bound gap {worst_gap:.2e} (must be <= 0)",
     )
 
 
-def _check_kdpp_tv(steps: int, tol: float) -> OracleCheck:
+def check_kdpp_tv(steps: int, tol: float) -> OracleCheck:
+    """Visit frequencies of the exchange chain against the exact k-DPP."""
     rng = np.random.default_rng(42)
     kern = kernels.squared_exponential(1.0, [0.7])
     X = rng.normal(0.0, 1.0, (10, 1))
@@ -94,11 +103,11 @@ def _check_kdpp_tv(steps: int, tol: float) -> OracleCheck:
     inducing.advance(state, kern, X, steps, on_state=record)
     tv = 0.5 * sum(abs(counts.get(s, 0) / steps - p) for s, p in exact.items())
     return OracleCheck(
-        "kdpp-chain-tv", tv <= tol, f"TV {tv:.4f} vs exact enumeration after {steps} steps"
+        "kdpp-chain-tv", tv <= tol, f"TV {tv:.4f} (tol {tol:g}) after {steps} steps"
     )
 
 
-def _check_spectrum_formulas() -> OracleCheck:
+def check_spectrum_formulas() -> OracleCheck:
     lam = kernels.se_gaussian_eigenvalues(1.0, math.sqrt(0.5), 0.5, 40)
     tails_ok = all(
         abs(kernels.se_gaussian_tail(1.0, math.sqrt(0.5), 0.5, m)
@@ -119,8 +128,8 @@ def _check_spectrum_formulas() -> OracleCheck:
 
 def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     return [
-        _check_chol_kit(2_000 if fast else 20_000),
-        _check_expected_trace_bound(5 if fast else 20),
-        _check_kdpp_tv(50_000 if fast else 1_000_000, 0.1 if fast else 0.05),
-        _check_spectrum_formulas(),
+        check_chol_kit(2_000 if fast else 20_000),
+        check_expected_trace_bound(5 if fast else 20),
+        check_kdpp_tv(50_000 if fast else 1_000_000, 0.1 if fast else 0.05),
+        check_spectrum_formulas(),
     ]

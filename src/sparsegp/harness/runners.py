@@ -9,6 +9,7 @@ are returned sorted by (experiment, seed, N, M).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -170,30 +171,12 @@ def _run_cell(
     t3 = time.perf_counter()
     timing = (t1 - t0, t2 - t1, t3 - t2) if cfg.record_timing else (0.0, 0.0, 0.0)
     return ResultRow(
+        **dataclasses.asdict(report),
         experiment=cfg.name,
         seed=seed,
         n=n,
         m=m_used,
         method=cfg.method,
-        t=report.t,
-        lambda_max_tilde=report.lambda_max_tilde,
-        elbo=report.elbo,
-        upper=report.upper,
-        upper_refined=report.upper_refined,
-        kl_exact=report.kl_exact,
-        norm_y_sq=report.norm_y_sq,
-        jitter_used=report.jitter_used,
-        lemma1=report.lemma1,
-        lemma1_loose=report.lemma1_loose,
-        lemma2_lo=report.lemma2_lo,
-        lemma2_hi=report.lemma2_hi,
-        thm1=report.thm1,
-        thm2=report.thm2,
-        thm3=report.thm3,
-        thm4=report.thm4,
-        prop1_mean_factor=report.prop1_mean_factor,
-        prop1_var_lo=report.prop1_var_lo,
-        prop1_var_hi=report.prop1_var_hi,
         time_select=timing[0],
         time_solve=timing[1],
         time_bounds=timing[2],

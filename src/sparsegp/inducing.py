@@ -201,7 +201,6 @@ def kdpp_mcmc(
     M: int,
     steps: int,
     seed: int,
-    refactor_every: int = REFACTOR_PERIOD,
     allow_truncation: bool = False,
 ) -> np.ndarray:
     """Approximate k-DPP sample: greedy start, `steps` exchange transitions.
@@ -216,7 +215,7 @@ def kdpp_mcmc(
     if steps < 0:
         raise MTooLargeError("step count must be nonnegative")
     state = init_sampler(kernel, X, M, seed, allow_truncation)
-    advance(state, kernel, X, steps, refactor_every=refactor_every)
+    advance(state, kernel, X, steps)
     return np.sort(np.asarray(state.indices))
 
 

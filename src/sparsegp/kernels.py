@@ -183,11 +183,13 @@ def eval(kernel: KernelSpec, x, x2) -> float:
 def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
     """Gram matrix of the kernel between rows of X and X2.
 
-    With ``X2=None`` the square Gram of X is returned, symmetrized exactly.
+    With ``X2=None`` the square Gram of X is returned.  It is exactly
+    symmetric without a symmetrizing pass: k(x_i, x_j) and k(x_j, x_i) are
+    computed from ``x_i - x_j`` and its exact negation by the same operations
+    in the same order.
     """
     X = _check_dims(kernel, X)
-    square = X2 is None
-    X2m = X if square else _check_dims(kernel, X2)
+    X2m = X if X2 is None else _check_dims(kernel, X2)
     if kernel.family == SQUARED_EXPONENTIAL:
         sq = np.zeros((X.shape[0], X2m.shape[0]))
         for d in range(kernel.dim):
@@ -199,8 +201,6 @@ def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
         for d in range(kernel.dim):
             diff = (X[:, d, None] - X2m[None, :, d]) / kernel.lengthscales[d]
             K *= _matern_profile(diff, kernel.matern_order)
-    if square:
-        K = 0.5 * (K + K.T)
     return K
 
 

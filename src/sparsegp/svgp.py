@@ -2,7 +2,9 @@
 
 All bound evaluations run through the M x M whitened system (never a dense
 N x N solve), so their cost is O(N M^2).  The exact KL divergence is the one
-O(N^3) entry point and is guarded by a dense-size limit.
+O(N^3) quantity: :func:`kl_exact` refuses N above its ``dense_limit``, while
+:func:`evaluate` builds its dense system without that guard and leaves the
+size check to its caller (the harness checks it per cell).
 """
 
 from __future__ import annotations
@@ -274,7 +276,6 @@ def lambda_max_gap(
     X,
     ops: FeatureOperators,
     tol: float = 1e-6,
-    max_iters: int | None = None,
 ) -> float:
     """Largest eigenvalue of K_ff - Q_ff, never forming the residual densely.
 
@@ -287,16 +288,15 @@ def lambda_max_gap(
     """
     A, _ = _whiten(ops)
     t = _trace_gap_from(kernels.gram_diag(kernel, X), A)
-    return _lambda_max_from(kernels.gram(kernel, X), A, t, kernel.variance, tol, max_iters)
+    return _lambda_max_from(kernels.gram(kernel, X), A, t, kernel.variance, tol)
 
 
 def _lambda_max_from(
-    K: np.ndarray, A: np.ndarray, t: float, variance: float, tol=1e-6, max_iters=None
+    K: np.ndarray, A: np.ndarray, t: float, variance: float, tol=1e-6
 ) -> float:
     n = K.shape[0]
     floor = 1e-14 * n * variance
-    if max_iters is None:
-        max_iters = 10 * n
+    max_iters = 10 * n
 
     def matvec(v):
         return K @ v - A.T @ (A @ v)
@@ -346,7 +346,8 @@ def optimal_q(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> Variation
     T = solve_triangular(LB, f_uu.L.T, lower=True, check_finite=False)
     Sigma = T.T @ T
     mu = T.T @ c / s2
-    return VariationalSolution(mu, 0.5 * (Sigma + Sigma.T), elbo(ops, y, noise))
+    lower = _log_bound(A, y, s2, 0.0) - _trace_gap_from(ops.kff_diag, A) / (2.0 * s2)
+    return VariationalSolution(mu, 0.5 * (Sigma + Sigma.T), lower)
 
 
 def predict(

@@ -7,14 +7,13 @@ reproductions run the same harness configurations the CLI ships with.
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from sparsegp import bounds, chol, gp_exact, inducing, kernels, svgp
-from sparsegp.harness import config, runners
+from sparsegp.harness import config, oracle_suite, runners
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -216,49 +215,14 @@ def test_criterion_6_se_gaussian_spectrum_oracles():
 
 def test_criterion_7_kdpp_chain_total_variation():
     start = time.perf_counter()
-    rng = np.random.default_rng(42)
-    kern = kernels.squared_exponential(1.0, [0.7])
-    X = rng.normal(0, 1, (10, 1))
-    exact = inducing.exact_kdpp_enumeration(kern, X, 3)
-    counts: Counter = Counter()
-    state = inducing.init_sampler(kern, X, 3, seed=123)
-    steps = 1_000_000
-    inducing.advance(
-        state, kern, X, steps, on_state=lambda s: counts.__setitem__(
-            tuple(sorted(s.indices)), counts.get(tuple(sorted(s.indices)), 0) + 1
-        )
-    )
-    tv = 0.5 * sum(abs(counts.get(s, 0) / steps - p) for s, p in exact.items())
+    check = oracle_suite.check_kdpp_tv(1_000_000, 0.05)
     elapsed = time.perf_counter() - start
-    report(7, tv <= 0.05 and elapsed < 120.0, f"TV {tv:.4f} (tol 0.05) in {elapsed:.0f}s")
+    report(7, check.passed and elapsed < 120.0, f"{check.detail} in {elapsed:.0f}s")
 
 
 def test_criterion_8_determinantal_trace_bound():
-    rng = np.random.default_rng(1)
-    n, m = 8, 3
-    violations = 0
-    worst_gap = -math.inf
-    for _ in range(20):
-        X = rng.normal(0, 1.2, (n, 1))
-        kern = kernels.squared_exponential(1.0, [float(rng.uniform(0.3, 1.2))])
-        table = inducing.exact_kdpp_enumeration(kern, X, m)
-        e_t = sum(
-            prob
-            * svgp.trace_gap(
-                kern, X, svgp.feature_operators(svgp.Points(X[list(s)]), kern, X)
-            )
-            for s, prob in table.items()
-        )
-        lam = np.linalg.eigvalsh(kernels.gram(kern, X))[::-1]
-        bound = bounds.nystrom_trace_bound(float(np.sum(lam[m:])), m, n, 1.0, 0.0)
-        worst_gap = max(worst_gap, e_t - bound)
-        if e_t > bound + 1e-10:
-            violations += 1
-    report(
-        8,
-        violations == 0,
-        f"{violations} violations, max E[t]-bound gap {worst_gap:.2e} (must be <= 0)",
-    )
+    check = oracle_suite.check_expected_trace_bound(20)
+    report(8, check.passed, check.detail)
 
 
 def test_criterion_9_thm4_probability_statement():
@@ -387,33 +351,5 @@ def test_criterion_12_pointwise_posterior_bounds():
 
 
 def test_criterion_13_cholesky_kit_drift():
-    rng = np.random.default_rng(2025)
-    dim = 4
-    base = rng.standard_normal((dim, dim))
-    A = base @ base.T + dim * np.eye(dim)
-    f = chol.factor(A)
-    worst = 0.0
-    n_ops = 100_000
-    for _ in range(n_ops):
-        op = rng.integers(3)
-        if op == 0 or f.dim <= 1:
-            v = rng.standard_normal(f.dim) * 0.3
-            f = chol.rank_one_update(f, v)
-            A = A + np.outer(v, v)
-        elif op == 1 and f.dim < 12:
-            cross = A @ rng.standard_normal(f.dim) * 0.1
-            self_var = float(cross @ np.linalg.solve(A, cross)) + rng.uniform(0.5, 2.0)
-            grown = np.zeros((f.dim + 1, f.dim + 1))
-            grown[: f.dim, : f.dim] = A
-            grown[: f.dim, -1] = cross
-            grown[-1, : f.dim] = cross
-            grown[-1, -1] = self_var
-            A = grown
-            f = chol.append_index(f, cross, self_var)
-        elif f.dim >= 2:
-            i = int(rng.integers(f.dim))
-            f = chol.remove_index(f, i)
-            A = np.delete(np.delete(A, i, 0), i, 1)
-        err = np.max(np.abs(f.reconstruct() - A)) / np.max(np.abs(A))
-        worst = max(worst, err)
-    report(13, worst <= 1e-8, f"max drift {worst:.2e} over {n_ops} edits (tol 1e-8)")
+    check = oracle_suite.check_chol_kit(100_000)
+    report(13, check.passed, check.detail)

@@ -139,28 +139,6 @@ class TestNystromTraceBound:
             got = bounds.nystrom_trace_bound(1e-3, 3, 100, 2.0, eps)
             assert got == pytest.approx(base + 2 * 100 * 2.0 * eps, rel=1e-12)
 
-    def test_dominates_enumerated_expectation(self):
-        # Exact E[t] under the determinantal distribution stays below the
-        # (M+1) tail bound on every random instance.
-        from sparsegp import inducing
-
-        rng = np.random.default_rng(1)
-        n, m = 8, 3
-        for trial in range(20):
-            X = rng.normal(0, 1.2, (n, 1))
-            kern = kernels.squared_exponential(1.0, [float(rng.uniform(0.3, 1.2))])
-            table = inducing.exact_kdpp_enumeration(kern, X, m)
-            e_t = sum(
-                prob
-                * svgp.trace_gap(
-                    kern, X, svgp.feature_operators(svgp.Points(X[list(s)]), kern, X)
-                )
-                for s, prob in table.items()
-            )
-            lam = np.linalg.eigvalsh(kernels.gram(kern, X))[::-1]
-            bound = bounds.nystrom_trace_bound(float(np.sum(lam[m:])), m, n, 1.0, 0.0)
-            assert e_t <= bound + 1e-10
-
 
 class TestScheduleSE1D:
     def test_worked_example_constants(self):

@@ -3,13 +3,14 @@
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sparsegp import chol, kernels
+from sparsegp import chol, kernels, svgp
 from sparsegp.errors import ConfigError, DenseLimitExceededError
-from sparsegp.harness import PlotSpec, config, emit, runners
+from sparsegp.harness import PlotSpec, cli, config, emit, oracle_suite, runners
 
 SMOKE_CONFIG = """
 [defaults]
@@ -120,6 +121,11 @@ class TestCsvEmission:
         path = tmp_path / "none.csv"
         emit.emit_csv(rows, str(path))
         assert emit.parse_csv(str(path))[0].thm1 is None
+
+    def test_every_report_field_is_a_column(self):
+        # Rows are built from the report's fields by name.
+        missing = {f.name for f in fields(svgp.BoundReport)} - set(emit.CSV_COLUMNS)
+        assert not missing
 
 
 class TestSvgEmission:
@@ -351,3 +357,16 @@ class TestCli:
         cfg_path.write_text(SMOKE_CONFIG)
         res = self._run("m-sweep", "--config", str(cfg_path))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("passed,code,tag", [(True, 0, "PASS"), (False, 1, "FAIL")])
+    def test_oracle_suite_exit_code(self, monkeypatch, capsys, passed, code, tag):
+        seen = []
+
+        def fake_suite(fast=False):
+            seen.append(fast)
+            return [oracle_suite.OracleCheck("stub", passed, "detail")]
+
+        monkeypatch.setattr(oracle_suite, "run_oracle_suite", fake_suite)
+        assert cli.main(["oracle-suite", "--fast"]) == code
+        assert capsys.readouterr().out == f"{tag} stub: detail\n"
+        assert seen == [True]

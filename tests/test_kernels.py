@@ -64,13 +64,19 @@ class TestGram:
         assert np.array_equal(kernels.gram(k, [[0.0]]), [[2.5]])
 
     def test_symmetric_psd(self):
+        # Exact symmetry comes from the construction; gram has no symmetrizing pass.
         rng = np.random.default_rng(0)
-        k = kernels.squared_exponential(1.0, [0.7])
-        X = rng.normal(0, 1, (40, 1))
-        K = kernels.gram(k, X)
-        assert np.array_equal(K, K.T)
-        assert np.all(np.diag(K) == 1.0)
-        assert np.linalg.eigvalsh(K)[0] >= -1e-10
+        for k in (
+            kernels.squared_exponential(1.0, [0.7]),
+            kernels.squared_exponential(1.0, [0.7, 1.3, 0.4]),
+            kernels.matern_half_integer(0, 1.0, [0.7]),
+            kernels.matern_half_integer(2, 1.0, [0.7, 1.3]),
+        ):
+            X = rng.normal(0, 1, (40, k.dim))
+            K = kernels.gram(k, X)
+            assert np.array_equal(K, K.T)
+            assert np.all(np.diag(K) == 1.0)
+            assert np.linalg.eigvalsh(K)[0] >= -1e-10
 
     def test_duplicate_rows_rank_deficient(self):
         k = kernels.squared_exponential(1.0, [1.0])

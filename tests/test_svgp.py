@@ -267,6 +267,21 @@ class TestOptimalQ:
         assert np.max(np.abs(mean - pm)) <= 1e-8
         assert np.max(np.abs(var - np.diag(pc))) <= 1e-6
 
+    def test_whitens_once(self, monkeypatch):
+        data, kern, noise = make_instance(19, n=30)
+        ops = svgp.feature_operators(svgp.Points(data.X[:6]), kern, data.X)
+        calls = []
+        whiten = svgp._whiten
+
+        def counted(o):
+            calls.append(o)
+            return whiten(o)
+
+        monkeypatch.setattr(svgp, "_whiten", counted)
+        sol = svgp.optimal_q(ops, data.y, noise)
+        assert len(calls) == 1
+        assert sol.elbo == svgp.elbo(ops, data.y, noise)
+
     def test_perturbations_decrease_uncollapsed_bound(self):
         data, kern, noise = make_instance(18, n=25)
         rng = np.random.default_rng(99)
