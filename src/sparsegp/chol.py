@@ -4,8 +4,8 @@ Besides plain factorization with an escalating jitter schedule, this module
 provides the three primitives needed to maintain a factor of a principal
 submatrix while single elements are swapped in and out: a rank-one update,
 deletion of a row/column, and appending of a row/column.  Each edit costs
-O(M^2), which is what makes determinant ratios between neighbouring subsets
-cheap enough for long Metropolis chains.
+O(M^2), which is what makes swapping one element of a long Metropolis
+chain's subset cheap; the chain edits its factor only on an accepted swap.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 Selection of inducing points by uniform sampling, greedy determinant
 maximization, and a lazy Metropolis exchange chain whose stationary law is
 the k-DPP over principal submatrices of the training Gram matrix.  The chain
-keeps a Cholesky factor of the current submatrix and evaluates every
-determinant ratio through an O(M^2) delete/append edit.  Also provides the
+keeps a Cholesky factor of the current submatrix, reads each swap's
+determinant ratio in closed form from two triangular solves against it, and
+edits the factor (an O(M^2) delete/append) only when a swap is accepted; the
+RNG draws of a step come in a fixed order.  Also provides the
 provable step budget for epsilon-close sampling, an exact enumerator used as
 a desk-scale oracle, and the two spectral feature families.
 """
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import chol, kernels, svgp
 from .errors import (
@@ -108,13 +111,17 @@ def greedy_det_init(
 
 @dataclass
 class SamplerState:
-    """Mutable state of the exchange chain: subset, factor and determinant."""
+    """Mutable state of the exchange chain: subset, factor and determinant.
+
+    ``step_count`` counts transitions run and ``accepted`` the swaps taken.
+    """
 
     indices: list[int]
     factor: chol.LowerFactor
     log_det: float
     rng: np.random.Generator
     step_count: int = 0
+    accepted: int = 0
     complement: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
@@ -135,6 +142,29 @@ def init_sampler(
     )
 
 
+def _inverse_diagonal(f: chol.LowerFactor) -> np.ndarray:
+    # diag(K_S^-1): the squared column norms of L^-1.
+    L_inv = solve_triangular(f.L, np.eye(f.dim), lower=True, check_finite=False)
+    return np.einsum("ij,ij->j", L_inv, L_inv)
+
+
+def _swapped_factor(
+    f: chol.LowerFactor, pos_i: int, k_Sj: np.ndarray | None, k_self: float
+) -> chol.LowerFactor | None:
+    # Factor of K_T, T = S - {member pos_i} + {j}, by a delete/append edit;
+    # None when the extension is numerically not positive definite.
+    if f.dim > 1:
+        f_minus = chol.remove_index(f, pos_i)
+        k_cross = np.delete(k_Sj, pos_i)
+    else:
+        f_minus = chol.LowerFactor(np.zeros((0, 0)), f.jitter_used)
+        k_cross = np.zeros(0)
+    try:
+        return chol.append_index(f_minus, k_cross, k_self)
+    except NotPositiveDefiniteError:
+        return None
+
+
 def advance(
     state: SamplerState,
     kernel: kernels.KernelSpec,
@@ -145,43 +175,59 @@ def advance(
 ) -> SamplerState:
     """Run `steps` transitions of the lazy exchange chain, mutating `state`.
 
-    Each transition proposes swapping a uniformly chosen member i for a
-    uniformly chosen outsider j and accepts with probability
-    (1/2) min(1, det(K_T)/det(K_S)); a proposal whose extension is not
-    positive definite has ratio 0 and is always rejected.
+    Each transition draws, in this fixed order, a member position i
+    (``integers(M)``), an outsider position j (``integers(n_out)``) and a
+    uniform u (``random()``), and accepts the swap of i for j when
+    u < (1/2) min(1, det(K_T)/det(K_S)).  The acceptance probability never
+    exceeds 1/2, so u >= 1/2 rejects without any linear algebra.  Otherwise
+    the ratio is read in closed form from the current factor L of K_S: with
+    ``c = L^-1 k_Sj``, ``d_j = k_jj - c.c`` and ``w = L^-T c``,
+    det(K_T)/det(K_S) = d_j (K_S^-1)_ii + w_i^2.  A proposal whose residual
+    pivot ``d(j | S-i) = ratio / (K_S^-1)_ii`` is at or below
+    ``chol.PIVOT_FLOOR * k_jj`` has ratio 0 and is rejected.  The factor is
+    edited only on an accepted swap, by ``chol.remove_index`` then
+    ``chol.append_index``; an extension that is not positive definite
+    rejects the swap.  ``state.accepted`` counts accepted swaps.
     """
     X = _as_2d(X)
     M = len(state.indices)
     n_out = state.complement.shape[0]
     rng = state.rng
+    k_self = kernel.variance
+    X_S = X[state.indices]
+    inv_diag = _inverse_diagonal(state.factor)
     for _ in range(steps):
         pos_i = int(rng.integers(M))
         pos_j = int(rng.integers(n_out))
-        j = int(state.complement[pos_j])
-        ratio = 0.0
-        try:
+        u = rng.random()
+        if u < 0.5:
+            j = int(state.complement[pos_j])
             if M > 1:
-                f_minus = chol.remove_index(state.factor, pos_i)
-                remaining = state.indices[:pos_i] + state.indices[pos_i + 1 :]
-                k_cross = kernels.gram(kernel, X[remaining], X[j : j + 1])[:, 0]
+                L = state.factor.L
+                k_Sj = kernels.gram(kernel, X_S, X[j : j + 1])[:, 0]
+                c = solve_triangular(L, k_Sj, lower=True, check_finite=False)
+                w = solve_triangular(L, c, lower=True, trans="T", check_finite=False)
+                ratio = (k_self - float(c @ c)) * inv_diag[pos_i] + w[pos_i] ** 2
+                if ratio / inv_diag[pos_i] <= chol.PIVOT_FLOOR * k_self:
+                    ratio = 0.0
             else:
-                f_minus = chol.LowerFactor(np.zeros((0, 0)), state.factor.jitter_used)
-                k_cross = np.zeros(0)
-            f_T = chol.append_index(f_minus, k_cross, kernel.variance)
-            log_det_T = chol.log_det(f_T)
-            ratio = math.exp(min(log_det_T - state.log_det, 0.0))
-        except NotPositiveDefiniteError:
-            ratio = 0.0
-        p_accept = 0.5 * min(1.0, ratio)
-        if rng.random() < p_accept:
-            i = state.indices.pop(pos_i)
-            state.indices.append(j)
-            state.complement[pos_j] = i
-            state.factor = f_T
-            state.log_det = log_det_T
+                # S - i is empty: det(K_T) = k_jj, above the floor for k_jj > 0.
+                k_Sj, ratio = None, k_self * inv_diag[0]
+            f_T = None
+            if u < 0.5 * min(1.0, ratio):
+                f_T = _swapped_factor(state.factor, pos_i, k_Sj, k_self)
+            if f_T is not None:
+                i = state.indices.pop(pos_i)
+                state.indices.append(j)
+                state.complement[pos_j] = i
+                state.factor = f_T
+                state.log_det = chol.log_det(f_T)
+                state.accepted += 1
+                X_S = X[state.indices]
+                inv_diag = _inverse_diagonal(f_T)
         state.step_count += 1
         if refactor_every and state.step_count % refactor_every == 0:
-            fresh = chol.factor(kernels.gram(kernel, X[state.indices]))
+            fresh = chol.factor(kernels.gram(kernel, X_S))
             fresh_log_det = chol.log_det(fresh)
             if abs(fresh_log_det - state.log_det) > DRIFT_TOL:
                 raise NumericalInconsistencyError(
@@ -190,6 +236,7 @@ def advance(
                 )
             state.factor = fresh
             state.log_det = fresh_log_det
+            inv_diag = _inverse_diagonal(fresh)
         if on_state is not None:
             on_state(state)
     return state

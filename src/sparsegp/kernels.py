@@ -191,11 +191,18 @@ def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
     X = _check_dims(kernel, X)
     X2m = X if X2 is None else _check_dims(kernel, X2)
     if kernel.family == SQUARED_EXPONENTIAL:
+        # In place on two result-sized buffers.
         sq = np.zeros((X.shape[0], X2m.shape[0]))
+        diff = np.empty_like(sq)
         for d in range(kernel.dim):
-            diff = (X[:, d, None] - X2m[None, :, d]) / kernel.lengthscales[d]
-            sq += diff * diff
-        K = kernel.variance * np.exp(-0.5 * sq)
+            np.subtract(X[:, d, None], X2m[None, :, d], out=diff)
+            diff /= kernel.lengthscales[d]
+            diff *= diff
+            sq += diff
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= kernel.variance
+        K = sq
     else:
         K = np.full((X.shape[0], X2m.shape[0]), kernel.variance)
         for d in range(kernel.dim):

@@ -12,6 +12,7 @@ from sparsegp.errors import (
     EnumerationTooLargeError,
     InvalidEpsilonError,
     MTooLargeError,
+    NotPositiveDefiniteError,
     QuadratureTooCoarseError,
 )
 
@@ -171,6 +172,94 @@ class TestExchangeChain:
         inducing.advance(state, kern, X, 777)
         K_S = kernels.gram(kern, X[state.indices])
         assert np.max(np.abs(state.factor.reconstruct() - K_S)) <= 1e-9
+
+
+def _reference_chain(kernel, X, M, steps, seed):
+    # The plain exchange chain: every proposal edits the factor and reads
+    # the ratio from log-determinants.  Same start, RNG and draw order.
+    state = inducing.init_sampler(kernel, X, M, seed)
+    rng, visited = state.rng, [tuple(state.indices)]
+    for _ in range(steps):
+        pos_i = int(rng.integers(M))
+        pos_j = int(rng.integers(state.complement.shape[0]))
+        j = int(state.complement[pos_j])
+        try:
+            if M > 1:
+                f_minus = chol.remove_index(state.factor, pos_i)
+                rest = state.indices[:pos_i] + state.indices[pos_i + 1 :]
+                k_cross = kernels.gram(kernel, X[rest], X[j : j + 1])[:, 0]
+            else:
+                f_minus, k_cross = chol.LowerFactor(np.zeros((0, 0))), np.zeros(0)
+            f_T = chol.append_index(f_minus, k_cross, kernel.variance)
+            ratio = math.exp(min(chol.log_det(f_T) - state.log_det, 0.0))
+        except NotPositiveDefiniteError:
+            ratio = 0.0
+        if rng.random() < 0.5 * min(1.0, ratio):
+            state.complement[pos_j] = state.indices.pop(pos_i)
+            state.indices.append(j)
+            state.factor, state.log_det = f_T, chol.log_det(f_T)
+        visited.append(tuple(state.indices))
+    return visited
+
+
+def _advance_visited(kernel, X, M, steps, seed):
+    # Final state and the index tuples from the start through every step.
+    state = inducing.init_sampler(kernel, X, M, seed)
+    visited = [tuple(state.indices)]
+    inducing.advance(
+        state, kernel, X, steps, on_state=lambda s: visited.append(tuple(s.indices))
+    )
+    return state, visited
+
+
+def _changes(visited):
+    return sum(a != b for a, b in zip(visited, visited[1:]))
+
+
+class TestClosedFormChain:
+    # (N=100, M=10, ell=2.0) has cond(K_S) near 1e10: a ratio whose d_j
+    # comes from an explicit K_S^-1 flips accept decisions there.
+    @pytest.mark.parametrize(
+        "N, M, ells, seed",
+        [
+            (10, 3, [0.7], 1),
+            (100, 10, [2.0], 2),
+            (100, 10, [0.5], 3),
+            (1000, 1, [0.6], 4),
+            (1000, 2, [0.6], 5),
+            (1000, 25, [0.6], 6),
+            (60, 6, [0.8, 1.3], 7),
+        ],
+    )
+    def test_same_index_sets_as_reference_chain(self, N, M, ells, seed):
+        X = np.random.default_rng(seed).normal(0, 1, (N, len(ells)))
+        kern = kernels.squared_exponential(1.0, ells)
+        reference = _reference_chain(kern, X, M, 2000, seed)
+        assert _advance_visited(kern, X, M, 2000, seed)[1] == reference
+        assert np.array_equal(
+            inducing.kdpp_mcmc(kern, X, M, 2000, seed), np.sort(reference[-1])
+        )
+
+    def test_factor_edited_only_on_accepted_swaps(self, monkeypatch):
+        edits = {"remove_index": 0, "append_index": 0}
+        for name in edits:
+
+            def counted(*args, _name=name, _fn=getattr(chol, name)):
+                edits[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(chol, name, counted)
+        X = np.random.default_rng(8).normal(0, 1, (100, 1))
+        _, visited = _advance_visited(se(ell=0.5), X, 10, 3000, 8)
+        swaps = _changes(visited)
+        assert 0 < swaps < 3000
+        assert edits == {"remove_index": swaps, "append_index": swaps}
+
+    def test_accepted_counts_index_set_changes(self):
+        X = np.linspace(0, 4, 25)[:, None]
+        state, visited = _advance_visited(se(ell=0.7), X, 5, 2500, 9)
+        assert state.accepted == _changes(visited) > 0
+        assert state.step_count == 2500
 
 
 class TestMixingSteps:

@@ -78,6 +78,20 @@ class TestGram:
             assert np.all(np.diag(K) == 1.0)
             assert np.linalg.eigvalsh(K)[0] >= -1e-10
 
+    def test_se_equals_out_of_place_formula(self):
+        # gram computes in place; the arithmetic and its order are unchanged.
+        rng = np.random.default_rng(3)
+        for ells in ([0.7], [0.7, 1.3, 0.4]):
+            k = kernels.squared_exponential(1.7, ells)
+            X = rng.normal(0, 1, (60, len(ells)))
+            for X2 in (X, rng.normal(0, 1, (25, len(ells)))):
+                sq = np.zeros((60, X2.shape[0]))
+                for d, ell in enumerate(k.lengthscales):
+                    diff = (X[:, d, None] - X2[None, :, d]) / ell
+                    sq += diff * diff
+                expected = k.variance * np.exp(-0.5 * sq)
+                assert np.array_equal(kernels.gram(k, X, X2), expected)
+
     def test_duplicate_rows_rank_deficient(self):
         k = kernels.squared_exponential(1.0, [1.0])
         X = np.array([[0.0], [0.0], [1.0]])
