@@ -28,16 +28,13 @@ class ScheduleParams:
     """Knobs of the a-priori inducing-count schedules.
 
     gamma is the target decay exponent (KL = O(N^-gamma)), gamma_prime its
-    D-dimensional analogue, delta the confidence level, r_bound the assumed
-    bound on ||y||^2 / N, eps_prime the exponent slack of the Matern
-    schedules and variance the kernel signal variance.
+    D-dimensional analogue, delta the confidence level and variance the
+    kernel signal variance.
     """
 
     gamma: float = 1.0
     gamma_prime: float = 3.5
     delta: float = 0.1
-    r_bound: float = 1.0
-    eps_prime: float = 0.1
     variance: float = 1.0
 
     def __post_init__(self):
@@ -45,8 +42,8 @@ class ScheduleParams:
             raise InvalidConfidenceError(f"delta must lie in (0, 1), got {self.delta}")
         if self.gamma <= 0 or self.gamma_prime <= 0:
             raise InvalidHyperparameterError("decay exponents must be positive")
-        if self.r_bound <= 0 or self.variance <= 0:
-            raise InvalidHyperparameterError("r_bound and variance must be positive")
+        if self.variance <= 0:
+            raise InvalidHyperparameterError("variance must be positive")
 
 
 def _check_delta(delta: float) -> None:

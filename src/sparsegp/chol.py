@@ -23,7 +23,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 
-# Relative jitter levels, scaled by mean(diag(A)) when no schedule is given.
+# Relative jitter levels tried by factor, scaled by mean(diag(A)).
 DEFAULT_JITTER_LEVELS = (0.0, 1e-10, 1e-8, 1e-6)
 
 # d^2 <= PIVOT_FLOOR * k_self means the appended point is treated as linearly
@@ -54,16 +54,11 @@ class LowerFactor:
         return self.L @ self.L.T
 
 
-def factor(A: np.ndarray, jitter_schedule=None) -> LowerFactor:
+def factor(A: np.ndarray) -> LowerFactor:
     """Factor a symmetric PSD matrix, escalating through a jitter schedule.
 
-    Parameters
-    ----------
-    A : (M, M) array
-        Symmetric positive semidefinite matrix.
-    jitter_schedule : sequence of float, optional
-        Absolute amounts added to the diagonal, tried in order.  Defaults to
-        ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.
+    The amounts added to the diagonal, tried in order, are
+    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.
 
     Raises
     ------
@@ -81,20 +76,16 @@ def factor(A: np.ndarray, jitter_schedule=None) -> LowerFactor:
     scale = np.max(np.abs(A))
     if np.max(np.abs(A - A.T)) > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
         raise AsymmetricInputError("input matrix is not symmetric within tolerance")
-    if jitter_schedule is None:
-        jitter_schedule = [lv * float(np.mean(np.diag(A))) for lv in DEFAULT_JITTER_LEVELS]
-    else:
-        jitter_schedule = list(jitter_schedule)
-    for jitter in jitter_schedule:
-        if jitter < 0:
-            raise DimensionMismatchError("jitter levels must be nonnegative")
+    mean_diag = float(np.mean(np.diag(A)))
+    for level in DEFAULT_JITTER_LEVELS:
+        jitter = level * mean_diag
         try:
             L = np.linalg.cholesky(A + jitter * np.eye(m) if jitter else A)
         except np.linalg.LinAlgError:
             continue
         return LowerFactor(L, float(jitter))
     raise NotFactorizableError(
-        f"Cholesky failed at all {len(jitter_schedule)} jitter levels"
+        f"Cholesky failed at all {len(DEFAULT_JITTER_LEVELS)} jitter levels"
     )
 
 

@@ -20,6 +20,14 @@ METHODS = ("points-kdpp", "points-uniform", "points-greedy", "eigvec", "eigfunc"
 KINDS = ("fixed-m", "m-sweep", "log-schedule", "dispersion")
 M_RULES = ("fixed", "log", "power", "schedule-se-1d")
 
+# Every key CONFIG.md documents; any other key is rejected.
+KNOWN_KEYS = frozenset(
+    """kind kernel variance lengthscale matern_order density density_mean
+    density_std density_lower density_upper noise_variance n_grid m_grid m_rule
+    m m_coeff m_intercept m_alpha gamma delta method chain_steps epsilon
+    quadrature seeds record_timing out_csv out_svg dispersion_lengthscales""".split()
+)
+
 # Hard cap on exchange-chain steps when the provable mixing budget is larger.
 CHAIN_STEP_CAP = 20_000_000
 
@@ -42,15 +50,10 @@ class MRule:
         if self.mode == "power":
             return max(1, min(math.ceil(float(n) ** self.alpha), n))
         params = bounds.ScheduleParams(
-            gamma=cfg.gamma,
-            delta=cfg.delta,
-            r_bound=cfg.r_bound,
-            variance=cfg.kernel.variance,
+            gamma=cfg.gamma, delta=cfg.delta, variance=cfg.kernel.variance
         )
-        sched = bounds.m_schedule_se_1d(
-            n, params, float(cfg.kernel.lengthscales[0]), cfg.input_std(), cfg.noise.variance
-        )
-        return sched.m
+        ell, sigma = float(cfg.kernel.lengthscales[0]), float(cfg.density.std[0])
+        return bounds.m_schedule_se_1d(n, params, ell, sigma, cfg.noise.variance).m
 
 
 @dataclass
@@ -67,7 +70,6 @@ class ExperimentConfig:
     m_grid: list[int] = field(default_factory=list)
     gamma: float = 1.0
     delta: float = 0.1
-    r_bound: float = 1.0
     epsilon: float | None = None
     chain_steps: int | None = None
     quadrature: int = 2048
@@ -75,13 +77,6 @@ class ExperimentConfig:
     dispersion_lengthscales: list[float] = field(default_factory=lambda: [2.0, 0.5])
     out_csv: str | None = None
     out_svg: str | None = None
-
-    def input_std(self) -> float:
-        if isinstance(self.density, kernels.GaussianDensity):
-            return float(self.density.std[0])
-        raise ConfigError(
-            f"experiment {self.name!r} needs a Gaussian input density for this rule"
-        )
 
     def chain_budget(self, n: int, m: int) -> tuple[int, bool]:
         """Exchange-chain steps: the override, else min(mixing budget, cap)."""
@@ -165,6 +160,16 @@ def _build_experiment(name: str, section) -> ExperimentConfig:
         raise ConfigError(f"experiment {name!r}: kind must be one of {KINDS}, got {kind!r}")
     kernel = _parse_kernel(get)
     density = _parse_density(get, kernel.dim)
+    m_rule = _parse_m_rule(get)
+    if m_rule.mode == "schedule-se-1d" and not (
+        kernel.family == kernels.SQUARED_EXPONENTIAL
+        and kernel.dim == 1
+        and isinstance(density, kernels.GaussianDensity)
+    ):
+        raise ConfigError(
+            f"experiment {name!r}: m_rule=schedule-se-1d needs an se kernel in one "
+            "dimension with a gaussian density"
+        )
     noise = NoiseModel(float(get("noise_variance", "1.0")))
     method = get("method", "points-kdpp").strip().lower()
     if method not in METHODS:
@@ -184,13 +189,12 @@ def _build_experiment(name: str, section) -> ExperimentConfig:
         density=density,
         noise=noise,
         n_grid=n_grid,
-        m_rule=_parse_m_rule(get),
+        m_rule=m_rule,
         method=method,
         seeds=_parse_seeds(get("seeds", "0:10")),
         m_grid=m_grid,
         gamma=float(get("gamma", "1.0")),
         delta=float(get("delta", "0.1")),
-        r_bound=float(get("r_bound", "1.0")),
         epsilon=float(epsilon) if epsilon not in (None, "") else None,
         chain_steps=int(chain_steps) if chain_steps not in (None, "") else None,
         quadrature=int(get("quadrature", "2048")),
@@ -219,6 +223,9 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
         name = section_name.split(":", 1)[1]
         merged = dict(defaults)
         merged.update(parser[section_name])
+        unknown = sorted(set(merged) - KNOWN_KEYS)
+        if unknown:
+            raise ConfigError(f"experiment {name!r}: unknown keys {', '.join(unknown)}")
         proxy = configparser.ConfigParser()
         proxy.read_dict({"s": merged})
         experiments.append(_build_experiment(name, proxy["s"]))

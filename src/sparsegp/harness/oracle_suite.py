@@ -108,15 +108,14 @@ def check_kdpp_tv(steps: int, tol: float) -> OracleCheck:
 
 
 def check_spectrum_formulas() -> OracleCheck:
-    lam = kernels.se_gaussian_eigenvalues(1.0, math.sqrt(0.5), 0.5, 40)
+    spec = kernels.se_gaussian_spectrum_tail(1.0, math.sqrt(0.5), 0.5)
     tails_ok = all(
-        abs(kernels.se_gaussian_tail(1.0, math.sqrt(0.5), 0.5, m)
-            - kernels.se_gaussian_tail(1.0, math.sqrt(0.5), 0.5, m + 1)
-            - lam[m]) <= 1e-12 * lam[m]
+        abs(spec.tail(m) - spec.tail(m + 1) - spec.eigenvalue(m + 1))
+        <= 1e-12 * spec.eigenvalue(m + 1)
         for m in range(30)
     )
     lam1_exact = math.sqrt(3.0) - 1.0
-    closed_ok = abs(lam[0] - lam1_exact) <= 1e-13
+    closed_ok = abs(spec.eigenvalue(1) - lam1_exact) <= 1e-13
     budget_ok = inducing.mixing_steps(1000, 10, 1e-3) == 759854
     ok = tails_ok and closed_ok and budget_ok
     return OracleCheck(

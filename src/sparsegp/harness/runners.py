@@ -68,28 +68,6 @@ def _select_inducing(
     raise ConfigError(f"unknown method {cfg.method!r}")
 
 
-def _spectrum_tail(cfg: ExperimentConfig) -> kernels.SpectrumTail | None:
-    kern = cfg.kernel
-    if (
-        kern.family == kernels.SQUARED_EXPONENTIAL
-        and isinstance(cfg.density, kernels.GaussianDensity)
-        and kern.dim == 1
-    ):
-        return kernels.se_gaussian_spectrum_tail(
-            kern.variance, float(kern.lengthscales[0]), float(cfg.density.std[0])
-        )
-    if kern.family == kernels.MATERN and isinstance(cfg.density, kernels.UniformDensity):
-        key = (
-            kern.matern_order,
-            float(kern.lengthscales[0]),
-            (float(cfg.density.lower[0]), float(cfg.density.upper[0])),
-        )
-        c0 = kernels.DEFAULT_MATERN_TAIL_C0.get(key)
-        if c0 is not None:
-            return kernels.matern_spectrum_tail(kern.matern_order, c0)
-    return None
-
-
 def _fill_apriori(
     report: svgp.BoundReport,
     cfg: ExperimentConfig,
@@ -190,7 +168,7 @@ def _sorted_rows(rows: list[ResultRow]) -> list[ResultRow]:
 
 def run_fixed_m(cfg: ExperimentConfig, dense_limit: int = 5000) -> list[ResultRow]:
     """Sweep N with M from the configured rule (fixed, or logarithmic for the log schedule)."""
-    tail = _spectrum_tail(cfg)
+    tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
     rows = []
     for seed in cfg.seeds:
         for n in cfg.n_grid:
@@ -201,7 +179,7 @@ def run_fixed_m(cfg: ExperimentConfig, dense_limit: int = 5000) -> list[ResultRo
 
 def run_m_sweep(cfg: ExperimentConfig, dense_limit: int = 5000) -> list[ResultRow]:
     """Sweep M on a fixed dataset size (convergence-rate experiment)."""
-    tail = _spectrum_tail(cfg)
+    tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
     n = cfg.n_grid[0]
     rows = []
     for seed in cfg.seeds:

@@ -330,23 +330,14 @@ def eigenfunction_features(
 ) -> svgp.EigenfunctionFeatures:
     """Operator eigenfunction features under the assumed input density.
 
-    Eigenvalues use the closed form when one exists (1-D squared exponential
-    kernel with Gaussian inputs); eigenfunctions always come from the numeric
-    spectral oracle.
+    Eigenvalues use the closed form when ``kernels.spectrum_tail`` has an
+    exact one; eigenfunctions always come from the numeric spectral oracle.
     """
     spectrum = kernels.nystrom_spectrum(kernel, density, M, quadrature_size)
     lam = spectrum.eigenvalues
-    if (
-        kernel.family == kernels.SQUARED_EXPONENTIAL
-        and isinstance(density, kernels.GaussianDensity)
-        and kernel.dim == 1
-    ):
-        lam = kernels.se_gaussian_eigenvalues(
-            kernel.variance,
-            float(kernel.lengthscales[0]),
-            float(density.std[0]),
-            M,
-        )
+    closed = kernels.spectrum_tail(kernel, density)
+    if closed is not None and closed.validity == kernels.EXACT:
+        lam = np.array([closed.eigenvalue(m) for m in range(1, M + 1)])
     if np.any(lam <= 0):
         raise QuadratureTooCoarseError(
             "operator rank below the requested number of features"

@@ -6,6 +6,8 @@ of the SE kernel under a Gaussian input density together with its geometric
 tail sums, product spectra for the ARD case, power-law tail bounds for
 Matern kernels on an interval, and a quadrature-based numeric oracle that
 produces eigenvalue/eigenfunction pairs for any (kernel, density) pair.
+``spectrum_tail`` is the one place that decides which (kernel, density)
+pair has a closed-form spectrum.
 """
 
 from __future__ import annotations
@@ -243,30 +245,6 @@ def se_gaussian_constants(ell: float, sigma: float) -> SEGaussianConstants:
     return SEGaussianConstants(a, b, c, A, b / A)
 
 
-def se_gaussian_eigenvalues(v: float, ell: float, sigma: float, m_count: int) -> np.ndarray:
-    """First ``m_count`` operator eigenvalues for an SE kernel and N(mu, sigma^2) inputs.
-
-    The sequence is geometric: ``lam_m = v * sqrt(2a/A) * B**(m-1)``.
-    """
-    if v <= 0:
-        raise InvalidHyperparameterError("variance must be positive")
-    if m_count < 1:
-        raise InvalidHyperparameterError("need at least one eigenvalue")
-    k = se_gaussian_constants(ell, sigma)
-    lam1 = v * math.sqrt(2.0 * k.a / k.A)
-    return lam1 * k.B ** np.arange(m_count)
-
-
-def se_gaussian_tail(v: float, ell: float, sigma: float, M: int) -> float:
-    """Tail sum of the SE/Gaussian spectrum beyond index M (geometric series)."""
-    if v <= 0:
-        raise InvalidHyperparameterError("variance must be positive")
-    if M < 0:
-        raise InvalidHyperparameterError("tail index must be >= 0")
-    k = se_gaussian_constants(ell, sigma)
-    return v * math.sqrt(2.0 * k.a) / ((1.0 - k.B) * math.sqrt(k.A)) * k.B**M
-
-
 def se_ard_gaussian_spectrum(ells, sigmas, variance: float, count: int) -> np.ndarray:
     """Leading ``count`` eigenvalues of a product SE-ARD operator, sorted descending.
 
@@ -311,17 +289,10 @@ DEFAULT_MATERN_TAIL_C0 = {
 }
 
 
-def matern_tail_bound(order: int, M: int, c0: float) -> float:
-    """Asymptotic-order tail bound c0 * M^(-2k-1) for a Matern k+1/2 kernel."""
-    if order < 0 or M < 1 or c0 <= 0:
-        raise InvalidHyperparameterError("need order >= 0, M >= 1, c0 > 0")
-    return c0 * float(M) ** (-(2 * order + 1))
-
-
 def calibrate_matern_tail_constant(
     order: int, ell: float, interval: tuple[float, float], m_range, quadrature_size: int = 512
 ) -> float:
-    """Smallest c0 making ``matern_tail_bound`` dominate the numeric tail on m_range."""
+    """Smallest c0 making ``matern_spectrum_tail``'s tail dominate the numeric tail on m_range."""
     lo, hi = interval
     kernel = matern_half_integer(order, 1.0, [ell])
     density = UniformDensity([lo], [hi])
@@ -359,6 +330,12 @@ class SpectrumTail:
 
 
 def se_gaussian_spectrum_tail(v: float, ell: float, sigma: float) -> SpectrumTail:
+    """Geometric spectrum of an SE kernel under N(mu, sigma^2) inputs.
+
+    ``lam_m = v * sqrt(2a/A) * B**(m-1)``, with the tail in closed form.
+    """
+    if v <= 0:
+        raise InvalidHyperparameterError("variance must be positive")
     k = se_gaussian_constants(ell, sigma)
     lam1 = v * math.sqrt(2.0 * k.a / k.A)
     return SpectrumTail(
@@ -369,6 +346,7 @@ def se_gaussian_spectrum_tail(v: float, ell: float, sigma: float) -> SpectrumTai
 
 
 def matern_spectrum_tail(order: int, c0: float) -> SpectrumTail:
+    """Asymptotic-order Matern k+1/2 tail bound ``c0 * M^(-2k-1)``."""
     if order < 0 or c0 <= 0:
         raise InvalidHyperparameterError("need order >= 0 and c0 > 0")
     p = 2 * order + 1
@@ -391,6 +369,28 @@ def tail_from_eigenvalues(values) -> SpectrumTail:
         return float(suffix[M]) if M < lam.size else 0.0
 
     return SpectrumTail(eigenvalue=eigenvalue, tail=tail, validity=EXACT)
+
+
+def spectrum_tail(kernel: KernelSpec, density: DensitySpec) -> SpectrumTail | None:
+    """Closed-form spectrum of the covariance operator, or None if none is known.
+
+    Known pairs, both in one dimension: an SE kernel under a Gaussian density
+    (exact), and a Matern kernel under a uniform density whose (order,
+    lengthscale, interval) has a calibrated ``DEFAULT_MATERN_TAIL_C0`` entry
+    (asymptotic bound).  The constant was calibrated at unit variance, and the
+    eigenvalues of ``v * k`` are ``v`` times those of ``k``.
+    """
+    if kernel.dim != 1 or density.dim != 1:
+        return None
+    ell = float(kernel.lengthscales[0])
+    if kernel.family == SQUARED_EXPONENTIAL and isinstance(density, GaussianDensity):
+        return se_gaussian_spectrum_tail(kernel.variance, ell, float(density.std[0]))
+    if kernel.family == MATERN and isinstance(density, UniformDensity):
+        interval = (float(density.lower[0]), float(density.upper[0]))
+        c0 = DEFAULT_MATERN_TAIL_C0.get((kernel.matern_order, ell, interval))
+        if c0 is not None:
+            return matern_spectrum_tail(kernel.matern_order, kernel.variance * c0)
+    return None
 
 
 # ---------------------------------------------------------------------------

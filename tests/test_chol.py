@@ -36,7 +36,7 @@ def cofactor_det(a):
 
 class TestFactor:
     def test_identity(self):
-        f = chol.factor(np.eye(3), jitter_schedule=[0.0])
+        f = chol.factor(np.eye(3))
         assert np.array_equal(f.L, np.eye(3))
         assert f.jitter_used == 0.0
 
@@ -47,7 +47,7 @@ class TestFactor:
         assert np.allclose(f.reconstruct(), [[4.0, 2.0], [2.0, 3.0]], atol=1e-14)
 
     def test_rank_deficient_needs_jitter(self):
-        f = chol.factor(np.ones((2, 2)), jitter_schedule=[0.0, 1e-10])
+        f = chol.factor(np.ones((2, 2)))
         assert f.jitter_used == 1e-10
 
     def test_asymmetric_rejected(self):
@@ -58,7 +58,7 @@ class TestFactor:
     def test_all_levels_fail(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(NotFactorizableError):
-            chol.factor(a, jitter_schedule=[0.0, 1e-12])
+            chol.factor(a)
 
     def test_default_schedule_scales_with_diagonal(self):
         a = 1e6 * np.ones((2, 2))
@@ -81,86 +81,86 @@ class TestRankOneUpdate:
         rng = np.random.default_rng(0)
         a = random_spd(rng, 5)
         v = rng.standard_normal(5)
-        updated = chol.rank_one_update(chol.factor(a, [0.0]), v)
-        target = chol.factor(a + np.outer(v, v), [0.0])
+        updated = chol.rank_one_update(chol.factor(a), v)
+        target = chol.factor(a + np.outer(v, v))
         assert np.max(np.abs(updated.L - target.L)) <= 1e-10
 
 
 class TestRemoveIndex:
     def test_remove_last_truncates(self):
         rng = np.random.default_rng(1)
-        f = chol.factor(random_spd(rng, 4), [0.0])
+        f = chol.factor(random_spd(rng, 4))
         g = chol.remove_index(f, 3)
         assert np.array_equal(g.L, f.L[:3, :3])
 
     def test_interior_matches_refactorization(self):
         rng = np.random.default_rng(2)
         a = random_spd(rng, 4)
-        g = chol.remove_index(chol.factor(a, [0.0]), 1)
-        target = chol.factor(np.delete(np.delete(a, 1, 0), 1, 1), [0.0])
+        g = chol.remove_index(chol.factor(a), 1)
+        target = chol.factor(np.delete(np.delete(a, 1, 0), 1, 1))
         assert np.max(np.abs(g.L - target.L)) <= 1e-10
 
     def test_identity_shrinks(self):
-        g = chol.remove_index(chol.factor(np.eye(2), [0.0]), 0)
+        g = chol.remove_index(chol.factor(np.eye(2)), 0)
         assert np.array_equal(g.L, np.eye(1))
 
     def test_bad_index(self):
-        f = chol.factor(np.eye(3), [0.0])
+        f = chol.factor(np.eye(3))
         with pytest.raises(IndexOutOfRangeError):
             chol.remove_index(f, 3)
         with pytest.raises(IndexOutOfRangeError):
-            chol.remove_index(chol.factor(np.eye(1), [0.0]), 0)
+            chol.remove_index(chol.factor(np.eye(1)), 0)
 
 
 class TestAppendIndex:
     def test_grow_identity(self):
-        f = chol.factor(np.eye(1), [0.0])
+        f = chol.factor(np.eye(1))
         g = chol.append_index(f, np.zeros(1), 1.0)
         assert np.array_equal(g.L, np.eye(2))
 
     def test_duplicate_column_rejected(self):
         rng = np.random.default_rng(3)
         a = random_spd(rng, 3)
-        f = chol.factor(a, [0.0])
+        f = chol.factor(a)
         with pytest.raises(NotPositiveDefiniteError):
             chol.append_index(f, a[:, 1], a[1, 1])
 
     def test_matches_refactorization(self):
         rng = np.random.default_rng(4)
         full = random_spd(rng, 4)
-        f = chol.factor(full[:3, :3], [0.0])
+        f = chol.factor(full[:3, :3])
         g = chol.append_index(f, full[:3, 3], full[3, 3])
-        target = chol.factor(full, [0.0])
+        target = chol.factor(full)
         assert np.max(np.abs(g.L - target.L)) <= 1e-10
 
     def test_append_then_remove_roundtrip(self):
         rng = np.random.default_rng(5)
         a = random_spd(rng, 4)
-        f = chol.factor(a, [0.0])
+        f = chol.factor(a)
         g = chol.remove_index(chol.append_index(f, a[:, 2] * 0.5 + 0.01, 7.0), 4)
         assert np.max(np.abs(g.L - f.L)) <= 1e-10
 
 
 class TestLogDet:
     def test_identity(self):
-        assert chol.log_det(chol.factor(np.eye(5), [0.0])) == 0.0
+        assert chol.log_det(chol.factor(np.eye(5))) == 0.0
 
     def test_diagonal(self):
-        f = chol.factor(np.diag([4.0, 9.0]), [0.0])
+        f = chol.factor(np.diag([4.0, 9.0]))
         assert abs(chol.log_det(f) - math.log(36.0)) <= 1e-14
 
     def test_against_cofactor_expansion(self):
         rng = np.random.default_rng(6)
         a = random_spd(rng, 6)
         expected = math.log(cofactor_det(a))
-        assert abs(chol.log_det(chol.factor(a, [0.0])) - expected) <= 1e-8 * abs(expected)
+        assert abs(chol.log_det(chol.factor(a)) - expected) <= 1e-8 * abs(expected)
 
     def test_conditional_variance_identity(self):
         # Removing index i lowers the log-determinant by log of the
         # conditional variance of coordinate i given the others.
         rng = np.random.default_rng(7)
         a = random_spd(rng, 5)
-        f = chol.factor(a, [0.0])
+        f = chol.factor(a)
         for i in range(5):
             cond_var = 1.0 / np.linalg.inv(a)[i, i]
             expected = chol.log_det(f) - math.log(cond_var)
@@ -171,7 +171,7 @@ class TestEditSequences:
     def test_long_random_sequence_tracks_matrix(self):
         rng = np.random.default_rng(8)
         a = random_spd(rng, 4)
-        f = chol.factor(a, [0.0])
+        f = chol.factor(a)
         worst = 0.0
         for _ in range(400):
             op = rng.integers(3)

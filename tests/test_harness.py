@@ -4,11 +4,12 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsegp import chol, kernels, svgp
+from sparsegp import bounds, chol, kernels, svgp
 from sparsegp.errors import ConfigError, DenseLimitExceededError
 from sparsegp.harness import PlotSpec, cli, config, emit, oracle_suite, runners
 
@@ -76,6 +77,45 @@ class TestConfigParsing:
         for kind in config.DEFAULT_CONFIGS:
             cfg = config.default_config(kind)
             assert cfg.kind == kind
+
+    def test_shipped_configs_parse(self):
+        shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        assert len(shipped) == 4
+        for path in shipped:
+            assert config.parse_config(str(path))
+
+    @pytest.mark.parametrize("line", ["chain_step = 5", "r_bound = -3", "Lengthscales = 1"])
+    def test_unknown_key_rejected(self, line):
+        key = line.split(" = ")[0].lower()
+        with pytest.raises(ConfigError, match=key):
+            config.parse_config_text(SMOKE_CONFIG + line + "\n")
+        text = SMOKE_CONFIG.replace("[defaults]\n", "[defaults]\n" + line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            config.parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"kernel = se": "kernel = matern", "density = uniform": "density = gaussian"},
+            {
+                "lengthscale = 0.4": "lengthscale = 0.4 0.4",
+                "density = uniform": "density = gaussian",
+            },
+            {},
+        ],
+        ids=["matern", "two-dims", "uniform-density"],
+    )
+    def test_se_schedule_needs_se_gaussian_one_dim(self, edits):
+        text = SMOKE_CONFIG.replace("m_rule = fixed", "m_rule = schedule-se-1d")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError, match="schedule-se-1d"):
+            config.parse_config_text(text)
+        ok = text.replace("kernel = matern", "kernel = se").replace("0.4 0.4", "0.4")
+        ok = ok.replace("density = uniform", "density = gaussian")
+        cfg = config.parse_config_text(ok)[0]
+        sched = bounds.m_schedule_se_1d(100, bounds.ScheduleParams(), 0.4, 1.0, 0.1)
+        assert cfg.m_rule.resolve(100, cfg) == sched.m
 
     def test_m_rules(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
@@ -170,6 +210,32 @@ class TestRunners:
         for r in rows:
             assert r.thm1 is not None and r.thm4 is not None
             assert r.thm3 >= (r.m + 1) * r.thm1 - 1e-9
+
+    @staticmethod
+    def _matern_unit_interval(lengthscale, variance):
+        # Matern-3/2 on [0, 1], the pair with a calibrated tail constant in 1-D.
+        text = (
+            SMOKE_CONFIG.replace("kernel = se", "kernel = matern")
+            .replace("lengthscale = 0.4", f"lengthscale = {lengthscale}")
+            .replace("variance = 1.0", f"variance = {variance}")
+            .replace("density_upper = 5.0", "density_upper = 1.0")
+            .replace("n_grid = 40 80", "n_grid = 40")
+        )
+        return config.parse_config_text(text)[0]
+
+    def test_matern_in_two_dimensions_leaves_theorem_slots_empty(self):
+        cfg = self._matern_unit_interval("0.5 0.5", 1.0)
+        assert cfg.kernel.dim == 2 and cfg.density.dim == 2
+        rows = runners.run_fixed_m(cfg, dense_limit=500)
+        for r in rows:
+            assert r.violation == "" and r.lemma1 is not None
+            assert (r.thm1, r.thm2, r.thm3, r.thm4) == (None, None, None, None)
+
+    def test_matern_theorem_slots_scale_with_variance(self):
+        cfg = self._matern_unit_interval("0.5", 4.0)
+        row = runners.run_fixed_m(cfg, dense_limit=500)[0]
+        tail = kernels.matern_spectrum_tail(1, 4.0 * 0.85)
+        assert row.thm2 == bounds.thm2(row.n, row.m, cfg.delta, cfg.noise.variance, tail)
 
     def test_dense_limit_enforced(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]

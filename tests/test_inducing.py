@@ -345,7 +345,7 @@ class TestEigenfunctionFeatures:
         kern = se(ell=0.6)
         dens = kernels.GaussianDensity([0.0], [1.0])
         feats = inducing.eigenfunction_features(kern, dens, 1, quadrature_size=256)
-        lam1 = kernels.se_gaussian_eigenvalues(1.0, 0.6, 1.0, 1)[0]
+        lam1 = kernels.se_gaussian_spectrum_tail(1.0, 0.6, 1.0).eigenvalue(1)
         assert feats.lambdas[0] == pytest.approx(lam1, rel=1e-12)
         ops = svgp.feature_operators(feats, kern, np.array([[0.3]]))
         assert ops.Kuu[0, 0] == pytest.approx(lam1, rel=1e-12)

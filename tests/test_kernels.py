@@ -112,6 +112,11 @@ class TestGram:
             assert abs(K[i, j] - kernels.eval(k, X[i], X2[j])) <= 1e-15
 
 
+def _se_eigenvalues(v, ell, sigma, count):
+    st = kernels.se_gaussian_spectrum_tail(v, ell, sigma)
+    return np.array([st.eigenvalue(m) for m in range(1, count + 1)])
+
+
 class TestSEGaussianSpectrum:
     def test_closed_form_against_exact_arithmetic(self):
         # sigma^2 = 1/4, ell^2 = 1/2, v = 1: the formula constants are
@@ -119,14 +124,14 @@ class TestSEGaussianSpectrum:
         s3 = sympy.sqrt(3)
         lam1_exact = float(sympy.sqrt(2 / (2 + s3)))
         b_exact = float(1 / (2 + s3))
-        lam = kernels.se_gaussian_eigenvalues(1.0, math.sqrt(0.5), 0.5, 5)
+        lam = _se_eigenvalues(1.0, math.sqrt(0.5), 0.5, 5)
         assert abs(lam[0] - lam1_exact) <= 1e-14
         assert abs(lam[0] - (math.sqrt(3) - 1.0)) <= 1e-14
         for m in range(4):
             assert abs(lam[m + 1] / lam[m] - b_exact) <= 1e-14
 
     def test_geometric_ratio_any_parameters(self):
-        lam = kernels.se_gaussian_eigenvalues(2.0, 0.3, 1.7, 4)
+        lam = _se_eigenvalues(2.0, 0.3, 1.7, 4)
         k = kernels.se_gaussian_constants(0.3, 1.7)
         assert abs(lam[1] / lam[0] - k.B) <= 1e-14
 
@@ -137,47 +142,44 @@ class TestSEGaussianSpectrum:
 
     def test_invalid(self):
         with pytest.raises(InvalidHyperparameterError):
-            kernels.se_gaussian_eigenvalues(0.0, 1.0, 1.0, 3)
-        with pytest.raises(InvalidHyperparameterError):
-            kernels.se_gaussian_eigenvalues(1.0, 1.0, 1.0, 0)
+            kernels.se_gaussian_spectrum_tail(0.0, 1.0, 1.0)
 
 
 class TestSEGaussianTail:
     def test_tail_zero_is_full_series(self):
-        lam1 = kernels.se_gaussian_eigenvalues(1.0, math.sqrt(0.5), 0.5, 1)[0]
+        st = kernels.se_gaussian_spectrum_tail(1.0, math.sqrt(0.5), 0.5)
         B = kernels.se_gaussian_constants(math.sqrt(0.5), 0.5).B
-        assert abs(kernels.se_gaussian_tail(1.0, math.sqrt(0.5), 0.5, 0) - lam1 / (1 - B)) <= 1e-14
+        assert abs(st.tail(0) - st.eigenvalue(1) / (1 - B)) <= 1e-14
 
     def test_partial_sum_oracle(self):
         # Tail at M=5 equals the sum over m in (5, 200] plus the geometric
         # remainder beyond 200, summed term by term.
         v, ell, sigma = 1.0, math.sqrt(0.5), 0.5
-        lam = kernels.se_gaussian_eigenvalues(v, ell, sigma, 200)
+        lam = _se_eigenvalues(v, ell, sigma, 200)
         B = kernels.se_gaussian_constants(ell, sigma).B
         oracle = float(np.sum(lam[5:])) + lam[-1] * B / (1 - B)
-        tail = kernels.se_gaussian_tail(v, ell, sigma, 5)
+        tail = kernels.se_gaussian_spectrum_tail(v, ell, sigma).tail(5)
         assert abs(tail - oracle) <= 1e-10 * oracle
         assert abs(tail - 1.3812181046456524e-3) <= 1e-12
 
     def test_telescoping(self):
         v, ell, sigma = 1.3, 0.6, 1.1
-        lam = kernels.se_gaussian_eigenvalues(v, ell, sigma, 30)
+        st = kernels.se_gaussian_spectrum_tail(v, ell, sigma)
         for m in range(25):
-            lhs = kernels.se_gaussian_tail(v, ell, sigma, m) - kernels.se_gaussian_tail(
-                v, ell, sigma, m + 1
-            )
-            assert abs(lhs - lam[m]) <= 1e-12 * lam[m]
+            lhs = st.tail(m) - st.tail(m + 1)
+            assert abs(lhs - st.eigenvalue(m + 1)) <= 1e-12 * st.eigenvalue(m + 1)
 
     def test_tail_dominates_partial_sums(self):
         v, ell, sigma = 1.0, 0.8, 1.0
-        lam = kernels.se_gaussian_eigenvalues(v, ell, sigma, 60)
+        lam = _se_eigenvalues(v, ell, sigma, 60)
+        tail = kernels.se_gaussian_spectrum_tail(v, ell, sigma).tail(10)
         for p in (1, 5, 20, 40):
-            assert kernels.se_gaussian_tail(v, ell, sigma, 10) >= np.sum(lam[10 : 10 + p])
+            assert tail >= np.sum(lam[10 : 10 + p])
 
 
 class TestARDSpectrum:
     def test_one_dimension_degenerates(self):
-        lam1d = kernels.se_gaussian_eigenvalues(1.7, 0.9, 1.2, 8)
+        lam1d = _se_eigenvalues(1.7, 0.9, 1.2, 8)
         ard = kernels.se_ard_gaussian_spectrum([0.9], [1.2], 1.7, 8)
         assert np.allclose(ard, lam1d, rtol=1e-14)
 
@@ -204,21 +206,23 @@ class TestARDSpectrum:
 
 class TestMaternTail:
     def test_direct_power(self):
-        assert abs(kernels.matern_tail_bound(1, 10, 1.0) - 1e-3) <= 1e-18
+        assert abs(kernels.matern_spectrum_tail(1, 1.0).tail(10) - 1e-3) <= 1e-18
 
     def test_doubling_m(self):
         for k in (0, 1, 2):
-            b1 = kernels.matern_tail_bound(k, 7, 0.3)
-            b2 = kernels.matern_tail_bound(k, 14, 0.3)
+            st = kernels.matern_spectrum_tail(k, 0.3)
+            b1 = st.tail(7)
+            b2 = st.tail(14)
             assert abs(b1 / b2 - 2.0 ** (2 * k + 1)) <= 1e-12
 
     def test_calibrated_constant_dominates_numeric_tail(self):
         c0 = kernels.calibrate_matern_tail_constant(1, 0.5, (0.0, 1.0), range(5, 51))
         kern = kernels.matern_half_integer(1, 1.0, [0.5])
         spec = kernels.nystrom_spectrum(kern, kernels.UniformDensity([0.0], [1.0]), 400, 512)
+        bound = kernels.matern_spectrum_tail(1, c0)
         for m in range(5, 51):
             numeric = float(np.sum(spec.eigenvalues[m:]))
-            assert kernels.matern_tail_bound(1, m, c0) >= numeric * (1 - 1e-12)
+            assert bound.tail(m) >= numeric * (1 - 1e-12)
         # and the stored default covers the fresh calibration
         assert kernels.DEFAULT_MATERN_TAIL_C0[(1, 0.5, (0.0, 1.0))] >= c0 * 0.999
 
@@ -246,11 +250,51 @@ class TestSpectrumTailValues:
         assert st.tail(10) == pytest.approx(0.85e-3)
 
 
+class TestSpectrumTailTable:
+    def test_se_gaussian_one_dimension_is_exact(self):
+        kern = kernels.squared_exponential(1.3, [0.6])
+        st = kernels.spectrum_tail(kern, kernels.GaussianDensity([0.5], [1.1]))
+        assert st.validity == kernels.EXACT
+        ref = kernels.se_gaussian_spectrum_tail(1.3, 0.6, 1.1)
+        for m in range(1, 10):
+            assert st.eigenvalue(m) == ref.eigenvalue(m)
+            assert st.tail(m) == ref.tail(m)
+
+    def test_matern_tail_scales_with_variance(self):
+        dens = kernels.UniformDensity([0.0], [1.0])
+        unit = kernels.spectrum_tail(kernels.matern_half_integer(1, 1.0, [0.5]), dens)
+        four = kernels.spectrum_tail(kernels.matern_half_integer(1, 4.0, [0.5]), dens)
+        assert unit.validity == four.validity == kernels.ASYMPTOTIC_BOUND
+        assert unit.tail(10) == pytest.approx(0.85e-3)
+        for m in (1, 5, 10, 40):
+            assert four.tail(m) == pytest.approx(4.0 * unit.tail(m), rel=1e-15)
+            assert four.eigenvalue(m) == pytest.approx(4.0 * unit.eigenvalue(m), rel=1e-15)
+
+    def test_matern_in_two_dimensions_has_no_tail(self):
+        kern = kernels.matern_half_integer(1, 1.0, [0.5, 0.5])
+        dens = kernels.UniformDensity([0.0, 0.0], [1.0, 1.0])
+        assert kernels.spectrum_tail(kern, dens) is None
+
+    def test_uncalibrated_matern_has_no_tail(self):
+        dens = kernels.UniformDensity([0.0], [1.0])
+        assert kernels.spectrum_tail(kernels.matern_half_integer(1, 1.0, [0.3]), dens) is None
+        assert kernels.spectrum_tail(kernels.matern_half_integer(2, 1.0, [0.5]), dens) is None
+
+    def test_se_with_uniform_density_has_no_tail(self):
+        kern = kernels.squared_exponential(1.0, [0.6])
+        assert kernels.spectrum_tail(kern, kernels.UniformDensity([0.0], [1.0])) is None
+
+    def test_se_in_two_dimensions_has_no_tail(self):
+        kern = kernels.squared_exponential(1.0, [0.6, 0.6])
+        dens = kernels.GaussianDensity([0.0, 0.0], [1.0, 1.0])
+        assert kernels.spectrum_tail(kern, dens) is None
+
+
 class TestNystromSpectrum:
     def test_matches_closed_form_se_gaussian(self):
         kern = kernels.squared_exponential(1.0, [0.6])
         spec = kernels.nystrom_spectrum(kern, kernels.GaussianDensity([0.0], [1.0]), 10, 2048)
-        closed = kernels.se_gaussian_eigenvalues(1.0, 0.6, 1.0, 10)
+        closed = _se_eigenvalues(1.0, 0.6, 1.0, 10)
         assert np.max(np.abs(spec.eigenvalues / closed - 1.0)) <= 0.01
 
     def test_trace_identity(self):
