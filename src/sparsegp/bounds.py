@@ -38,8 +38,7 @@ class ScheduleParams:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidConfidenceError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if self.gamma <= 0 or self.gamma_prime <= 0:
             raise InvalidHyperparameterError("decay exponents must be positive")
         if self.variance <= 0:

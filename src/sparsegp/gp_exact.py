@@ -2,7 +2,8 @@
 
 All solves route through :mod:`sparsegp.chol` with the default jitter
 schedule; the jitter actually used is visible on the returned factors.  The
-prior mean is identically zero.
+prior mean is identically zero.  Every entry point builds one
+:class:`DenseSystem`, which refuses N above ``DENSE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import chol, kernels
-from .errors import DimensionMismatchError, InvalidHyperparameterError
+from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidHyperparameterError
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Largest N for which the O(N^3) dense system is built; K and its factor
+# take 200 MB each at the limit.
+DENSE_LIMIT = 5000
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,9 @@ class DenseSystem:
 
 def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> DenseSystem:
     """The O(N^3) part of an instance, which every dense entry point reads."""
+    n = len(X)
+    if n > DENSE_LIMIT:
+        raise DenseLimitExceededError(f"N={n} exceeds the dense limit {DENSE_LIMIT}")
     K = kernels.gram(kernel, X)
     k_diag = K.diagonal().copy()
     np.fill_diagonal(K, k_diag + noise.variance)

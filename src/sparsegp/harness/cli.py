@@ -21,7 +21,7 @@ from .emit import PlotSpec, emit_csv, emit_selection_csv, emit_svg
 _RUNNERS = {
     "fixed-m": runners.run_fixed_m,
     "m-sweep": runners.run_m_sweep,
-    "log-schedule": runners.run_log_schedule,
+    "log-schedule": runners.run_fixed_m,
 }
 
 _PLOTS = {
@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config file (INI; see CONFIG.md)")
         p.add_argument("--seed-offset", type=int, default=0)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--dense-limit", type=int, default=5000)
     p = sub.add_parser("oracle-suite", help="run the independent oracle checks")
     p.add_argument("--fast", action="store_true", help="reduced budgets")
     return parser
@@ -104,7 +103,7 @@ def main(argv=None) -> int:
                     print(f"{cfg.name}: mean nearest-neighbour distance {label}: {dist:.4f}")
                 print(f"{cfg.name}: wrote {path}")
                 continue
-            rows = _RUNNERS[args.command](cfg, dense_limit=args.dense_limit)
+            rows = _RUNNERS[args.command](cfg)
             csv_path = _out_path(args.out_dir, cfg.out_csv or f"{cfg.name}.csv")
             emit_csv(rows, csv_path)
             if cfg.out_svg:

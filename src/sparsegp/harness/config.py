@@ -18,13 +18,13 @@ from ..gp_exact import NoiseModel
 
 METHODS = ("points-kdpp", "points-uniform", "points-greedy", "eigvec", "eigfunc")
 KINDS = ("fixed-m", "m-sweep", "log-schedule", "dispersion")
-M_RULES = ("fixed", "log", "power", "schedule-se-1d")
+M_RULES = ("fixed", "log", "schedule-se-1d")
 
 # Every key CONFIG.md documents; any other key is rejected.
 KNOWN_KEYS = frozenset(
     """kind kernel variance lengthscale matern_order density density_mean
     density_std density_lower density_upper noise_variance n_grid m_grid m_rule
-    m m_coeff m_intercept m_alpha gamma delta method chain_steps epsilon
+    m m_coeff m_intercept gamma delta method chain_steps epsilon
     quadrature seeds record_timing out_csv out_svg dispersion_lengthscales""".split()
 )
 
@@ -34,21 +34,18 @@ CHAIN_STEP_CAP = 20_000_000
 
 @dataclass(frozen=True)
 class MRule:
-    """How M is chosen from N: a constant, C*log(N)+C0, N^alpha, or a schedule."""
+    """How M is chosen from N: a constant, C*log(N)+C0, or the 1-D SE schedule."""
 
     mode: str
     m: int | None = None
     coeff: float | None = None
     intercept: float = 0.0
-    alpha: float | None = None
 
     def resolve(self, n: int, cfg: "ExperimentConfig") -> int:
         if self.mode == "fixed":
             return int(self.m)
         if self.mode == "log":
             return max(1, math.ceil(self.coeff * math.log(n) + self.intercept))
-        if self.mode == "power":
-            return max(1, min(math.ceil(float(n) ** self.alpha), n))
         params = bounds.ScheduleParams(
             gamma=cfg.gamma, delta=cfg.delta, variance=cfg.kernel.variance
         )
@@ -78,15 +75,14 @@ class ExperimentConfig:
     out_csv: str | None = None
     out_svg: str | None = None
 
-    def chain_budget(self, n: int, m: int) -> tuple[int, bool]:
+    def chain_budget(self, n: int, m: int) -> int:
         """Exchange-chain steps: the override, else min(mixing budget, cap)."""
         from .. import inducing
 
         if self.chain_steps is not None:
-            return self.chain_steps, False
+            return self.chain_steps
         eps = self.epsilon if self.epsilon is not None else float(n) ** -3
-        budget = inducing.mixing_steps(n, m, eps)
-        return min(budget, CHAIN_STEP_CAP), budget > CHAIN_STEP_CAP
+        return min(inducing.mixing_steps(n, m, eps), CHAIN_STEP_CAP)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -146,8 +142,6 @@ def _parse_m_rule(get) -> MRule:
         if coeff is None:
             raise ConfigError("m_rule=log needs m_coeff")
         return MRule(mode, coeff=float(coeff), intercept=float(get("m_intercept", "0.0")))
-    if mode == "power":
-        return MRule(mode, alpha=float(get("m_alpha", "0.5")))
     return MRule(mode)
 
 

@@ -14,42 +14,30 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..svgp import BoundReport
 
-@dataclass
-class ResultRow:
-    """One (experiment, seed, N, M) result with every certified quantity."""
+
+@dataclass(kw_only=True)
+class ResultRow(BoundReport):
+    """One (experiment, seed, N, M) result: a BoundReport plus identity, timing and flags."""
 
     experiment: str
     seed: int
     n: int
     m: int
     method: str
-    t: float
-    lambda_max_tilde: float
-    elbo: float
-    upper: float
-    upper_refined: float
-    kl_exact: float | None
-    norm_y_sq: float
-    jitter_used: float
-    lemma1: float | None
-    lemma1_loose: float | None
-    lemma2_lo: float | None
-    lemma2_hi: float | None
-    thm1: float | None
-    thm2: float | None
-    thm3: float | None
-    thm4: float | None
-    prop1_mean_factor: float | None
-    prop1_var_lo: float | None
-    prop1_var_hi: float | None
     time_select: float
     time_solve: float
     time_bounds: float
     violation: str
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+# The shipped column order: identity, the BoundReport fields, timing, flags.
+CSV_COLUMNS = (
+    ("experiment", "seed", "n", "m", "method")
+    + tuple(f.name for f in fields(BoundReport))
+    + ("time_select", "time_solve", "time_bounds", "violation")
+)
 
 _INT_COLUMNS = {"seed", "n", "m"}
 _STR_COLUMNS = {"experiment", "method", "violation"}

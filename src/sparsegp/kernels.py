@@ -1,11 +1,12 @@
 """Kernels, Gram matrices and covariance-operator spectra.
 
-Covers pointwise/Gram evaluation for squared-exponential and half-integer
-Matern kernels (products of 1-D factors in D > 1), the closed-form spectrum
-of the SE kernel under a Gaussian input density together with its geometric
-tail sums, product spectra for the ARD case, power-law tail bounds for
-Matern kernels on an interval, and a quadrature-based numeric oracle that
-produces eigenvalue/eigenfunction pairs for any (kernel, density) pair.
+Covers Gram evaluation for squared-exponential and half-integer Matern
+kernels (products of 1-D factors in D > 1; a single covariance is a 1 x 1
+Gram), the closed-form spectrum of the SE kernel under a Gaussian input
+density together with its geometric tail sums, product spectra for the ARD
+case, power-law tail bounds for Matern kernels on an interval with a
+calibrated constant, and a quadrature-based numeric oracle that produces
+eigenvalue/eigenfunction pairs for any (kernel, density) pair.
 ``spectrum_tail`` is the one place that decides which (kernel, density)
 pair has a closed-form spectrum.
 """
@@ -171,17 +172,6 @@ def _check_dims(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def eval(kernel: KernelSpec, x, x2) -> float:
-    """Covariance between two single points (scalars or length-D vectors)."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    xb = np.atleast_1d(np.asarray(x2, dtype=float))
-    if xa.ndim != 1 or xb.ndim != 1 or xa.shape != xb.shape or xa.shape[0] != kernel.dim:
-        raise DimensionMismatchError(
-            f"points of shape {xa.shape}/{xb.shape} do not match kernel dim {kernel.dim}"
-        )
-    return float(gram(kernel, xa[None, :], xb[None, :])[0, 0])
-
-
 def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
     """Gram matrix of the kernel between rows of X and X2.
 
@@ -283,27 +273,11 @@ def se_ard_gaussian_spectrum(ells, sigmas, variance: float, count: int) -> np.nd
 
 # Tail constants calibrated against the numeric spectral oracle over
 # M in [5, 50] at 512 quadrature nodes, keyed by (order k, lengthscale,
-# interval), rounded up.  See calibrate_matern_tail_constant.
+# interval), rounded up.  The calibration is re-run as a test oracle
+# (tests/test_kernels.py, TestMaternTail).
 DEFAULT_MATERN_TAIL_C0 = {
     (1, 0.5, (0.0, 1.0)): 0.85,
 }
-
-
-def calibrate_matern_tail_constant(
-    order: int, ell: float, interval: tuple[float, float], m_range, quadrature_size: int = 512
-) -> float:
-    """Smallest c0 making ``matern_spectrum_tail``'s tail dominate the numeric tail on m_range."""
-    lo, hi = interval
-    kernel = matern_half_integer(order, 1.0, [ell])
-    density = UniformDensity([lo], [hi])
-    m_max = max(m_range)
-    spec = nystrom_spectrum(kernel, density, min(quadrature_size, 8 * m_max), quadrature_size)
-    lam = spec.eigenvalues
-    c0 = 0.0
-    for m in m_range:
-        tail = float(np.sum(lam[m:]))
-        c0 = max(c0, tail * float(m) ** (2 * order + 1))
-    return c0
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +329,6 @@ def matern_spectrum_tail(order: int, c0: float) -> SpectrumTail:
         tail=lambda M: c0 * float(M) ** (-p),
         validity=ASYMPTOTIC_BOUND,
     )
-
-
-def tail_from_eigenvalues(values) -> SpectrumTail:
-    """Exact SpectrumTail over a finite, descending eigenvalue list."""
-    lam = np.asarray(values, dtype=float)
-    suffix = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
-
-    def eigenvalue(m: int) -> float:
-        return float(lam[m - 1]) if 1 <= m <= lam.size else 0.0
-
-    def tail(M: int) -> float:
-        return float(suffix[M]) if M < lam.size else 0.0
-
-    return SpectrumTail(eigenvalue=eigenvalue, tail=tail, validity=EXACT)
 
 
 def spectrum_tail(kernel: KernelSpec, density: DensitySpec) -> SpectrumTail | None:

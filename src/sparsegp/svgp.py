@@ -2,9 +2,10 @@
 
 All bound evaluations run through the M x M whitened system (never a dense
 N x N solve), so their cost is O(N M^2).  The exact KL divergence is the one
-O(N^3) quantity: :func:`kl_exact` refuses N above its ``dense_limit``, while
-:func:`evaluate` builds its dense system without that guard and leaves the
-size check to its caller (the harness checks it per cell).
+O(N^3) quantity: :func:`kl_exact` and :func:`evaluate` read a
+:func:`gp_exact.dense_system`, which refuses N above ``gp_exact.DENSE_LIMIT``.
+The standalone bound functions (:func:`elbo`, :func:`upper_bound`, ...) each
+whiten again; :func:`evaluate` whitens once for all of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import chol, gp_exact, kernels
 from .errors import (
-    DenseLimitExceededError,
     DimensionMismatchError,
     DuplicateInducingPointError,
     NegativeVarianceError,
@@ -392,15 +392,12 @@ def kl_exact(
     kernel: kernels.KernelSpec,
     noise: gp_exact.NoiseModel,
     ops: FeatureOperators,
-    dense_limit: int = 5000,
 ) -> float:
     """Exact KL divergence of the optimal approximation from the posterior.
 
     Evaluated as (log marginal likelihood) - (collapsed bound); the dense
-    N^3 baseline restricts this to desk scale.
+    N^3 baseline restricts this to N <= ``gp_exact.DENSE_LIMIT``.
     """
-    if data.n > dense_limit:
-        raise DenseLimitExceededError(f"N={data.n} exceeds dense limit {dense_limit}")
     lml = gp_exact.log_marginal_likelihood(data, kernel, noise)
     return _kl_from(lml, elbo(ops, data.y, noise))
 

@@ -273,7 +273,7 @@ chain_steps = 1500
 seeds = 0:20
 """
     cfg = config.parse_config_text(text)[0]
-    rows = runners.run_log_schedule(cfg)
+    rows = runners.run_fixed_m(cfg)
     medians = [
         float(np.median([r.kl_exact for r in rows if r.n == n])) for n in cfg.n_grid
     ]

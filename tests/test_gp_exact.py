@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from sparsegp import gp_exact, kernels
-from sparsegp.errors import DimensionMismatchError, InvalidHyperparameterError
+from sparsegp.errors import (
+    DenseLimitExceededError,
+    DimensionMismatchError,
+    InvalidHyperparameterError,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -27,6 +31,30 @@ class TestDatasetValidation:
     def test_noise_positive(self):
         with pytest.raises(InvalidHyperparameterError):
             gp_exact.NoiseModel(0.0)
+
+
+class TestDenseSystem:
+    def test_limit_checked_before_gram(self, monkeypatch):
+        calls = []
+        gram = kernels.gram
+
+        def counting_gram(*args, **kwargs):
+            calls.append(args)
+            return gram(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        X = np.zeros((gp_exact.DENSE_LIMIT + 1, 1))
+        with pytest.raises(DenseLimitExceededError, match=str(gp_exact.DENSE_LIMIT)):
+            gp_exact.dense_system(X, make_kernel(), gp_exact.NoiseModel(0.1))
+        assert calls == []
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(gp_exact, "DENSE_LIMIT", 3)
+        X = np.arange(4.0)[:, None]
+        noise = gp_exact.NoiseModel(0.1)
+        assert gp_exact.dense_system(X[:3], make_kernel(), noise).K.shape == (3, 3)
+        with pytest.raises(DenseLimitExceededError):
+            gp_exact.dense_system(X, make_kernel(), noise)
 
 
 class TestLogMarginalLikelihood:

@@ -1,5 +1,6 @@
 """Harness tests: config parsing, emission determinism, runners, CLI."""
 
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsegp import bounds, chol, kernels, svgp
+from sparsegp import bounds, chol, gp_exact, kernels, svgp
 from sparsegp.errors import ConfigError, DenseLimitExceededError
 from sparsegp.harness import PlotSpec, cli, config, emit, oracle_suite, runners
+
+CONFIG_MD = Path(__file__).resolve().parents[1] / "CONFIG.md"
 
 SMOKE_CONFIG = """
 [defaults]
@@ -84,7 +87,9 @@ class TestConfigParsing:
         for path in shipped:
             assert config.parse_config(str(path))
 
-    @pytest.mark.parametrize("line", ["chain_step = 5", "r_bound = -3", "Lengthscales = 1"])
+    @pytest.mark.parametrize(
+        "line", ["chain_step = 5", "r_bound = -3", "Lengthscales = 1", "m_alpha = 0.5"]
+    )
     def test_unknown_key_rejected(self, line):
         key = line.split(" = ")[0].lower()
         with pytest.raises(ConfigError, match=key):
@@ -117,19 +122,26 @@ class TestConfigParsing:
         sched = bounds.m_schedule_se_1d(100, bounds.ScheduleParams(), 0.4, 1.0, 0.1)
         assert cfg.m_rule.resolve(100, cfg) == sched.m
 
+    def test_power_rule_rejected(self):
+        with pytest.raises(ConfigError, match="power"):
+            config.parse_config_text(SMOKE_CONFIG.replace("m_rule = fixed", "m_rule = power"))
+
+    def test_config_md_documents_exactly_the_known_keys(self):
+        doc = CONFIG_MD.read_text(encoding="utf-8")
+        documented = set(re.findall(r"^\| `(\w+)` \|", doc, flags=re.MULTILINE))
+        assert documented == config.KNOWN_KEYS
+
     def test_m_rules(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         assert cfg.m_rule.resolve(40, cfg) == 8
         log_rule = config.MRule("log", coeff=2.0, intercept=1.0)
         assert log_rule.resolve(100, cfg) == int(np.ceil(2.0 * np.log(100) + 1.0))
-        pow_rule = config.MRule("power", alpha=0.5)
-        assert pow_rule.resolve(100, cfg) == 10
 
 
 class TestCsvEmission:
     def _rows(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        return runners.run_fixed_m(cfg, dense_limit=500)
+        return runners.run_fixed_m(cfg)
 
     def test_round_trip_exact(self, tmp_path):
         rows = self._rows()
@@ -167,11 +179,17 @@ class TestCsvEmission:
         missing = {f.name for f in fields(svgp.BoundReport)} - set(emit.CSV_COLUMNS)
         assert not missing
 
+    def test_columns_are_the_row_fields_in_documented_order(self):
+        assert sorted(emit.CSV_COLUMNS) == sorted(f.name for f in fields(emit.ResultRow))
+        doc = CONFIG_MD.read_text(encoding="utf-8")
+        listed = doc.split("Fixed order: `", 1)[1].split("`", 1)[0]
+        assert tuple(col.strip() for col in listed.split(",")) == emit.CSV_COLUMNS
+
 
 class TestSvgEmission:
     def test_deterministic_bytes_and_structure(self, tmp_path):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        rows = runners.run_fixed_m(cfg, dense_limit=500)
+        rows = runners.run_fixed_m(cfg)
         spec = PlotSpec(x="n", ys=("kl_exact", "lemma2_lo", "lemma2_hi"), title="smoke")
         s1 = emit.render_svg(rows, spec)
         s2 = emit.render_svg(list(rows), spec)
@@ -191,7 +209,7 @@ class TestSvgEmission:
 class TestRunners:
     def test_fixed_m_rows_have_apriori_slots(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        rows = runners.run_fixed_m(cfg, dense_limit=500)
+        rows = runners.run_fixed_m(cfg)
         assert len(rows) == 4
         for r in rows:
             assert r.violation == ""
@@ -206,7 +224,7 @@ class TestRunners:
             "density = uniform", "density = gaussian"
         ).replace("lengthscale = 0.4", "lengthscale = 0.6")
         cfg = config.parse_config_text(text)[0]
-        rows = runners.run_fixed_m(cfg, dense_limit=500)
+        rows = runners.run_fixed_m(cfg)
         for r in rows:
             assert r.thm1 is not None and r.thm4 is not None
             assert r.thm3 >= (r.m + 1) * r.thm1 - 1e-9
@@ -226,27 +244,26 @@ class TestRunners:
     def test_matern_in_two_dimensions_leaves_theorem_slots_empty(self):
         cfg = self._matern_unit_interval("0.5 0.5", 1.0)
         assert cfg.kernel.dim == 2 and cfg.density.dim == 2
-        rows = runners.run_fixed_m(cfg, dense_limit=500)
+        rows = runners.run_fixed_m(cfg)
         for r in rows:
             assert r.violation == "" and r.lemma1 is not None
             assert (r.thm1, r.thm2, r.thm3, r.thm4) == (None, None, None, None)
 
     def test_matern_theorem_slots_scale_with_variance(self):
         cfg = self._matern_unit_interval("0.5", 4.0)
-        row = runners.run_fixed_m(cfg, dense_limit=500)[0]
+        row = runners.run_fixed_m(cfg)[0]
         tail = kernels.matern_spectrum_tail(1, 4.0 * 0.85)
         assert row.thm2 == bounds.thm2(row.n, row.m, cfg.delta, cfg.noise.variance, tail)
 
     def test_dense_limit_enforced(self):
-        cfg = config.parse_config_text(SMOKE_CONFIG)[0]
+        text = SMOKE_CONFIG.replace("n_grid = 40 80", f"n_grid = {gp_exact.DENSE_LIMIT + 1}")
+        cfg = config.parse_config_text(text)[0]
         with pytest.raises(DenseLimitExceededError):
-            runners.run_fixed_m(cfg, dense_limit=50)
+            runners.run_fixed_m(cfg)
 
     def test_determinism_across_runs(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        assert runners.run_fixed_m(cfg, dense_limit=500) == runners.run_fixed_m(
-            cfg, dense_limit=500
-        )
+        assert runners.run_fixed_m(cfg) == runners.run_fixed_m(cfg)
 
     def test_two_dense_grams_and_factors_per_cell(self, monkeypatch):
         # Drawing y builds one N x N Gram and factor of K + s2 I; the Lanczos
@@ -267,7 +284,7 @@ class TestRunners:
 
         monkeypatch.setattr(kernels, "gram", counting_gram)
         monkeypatch.setattr(chol, "factor", counting_factor)
-        rows = runners.run_fixed_m(cfg, dense_limit=500)
+        rows = runners.run_fixed_m(cfg)
         assert len(rows) == len(cfg.seeds) * len(cfg.n_grid)
         for n in cfg.n_grid:
             assert calls["gram", (n, n)] == 2 * len(cfg.seeds)
@@ -290,7 +307,7 @@ method = eigvec
 seeds = 0 1 2
 """
         cfg = config.parse_config_text(text)[0]
-        rows = runners.run_m_sweep(cfg, dense_limit=500)
+        rows = runners.run_m_sweep(cfg)
         for seed in (0, 1, 2):
             kls = [r.kl_exact for r in rows if r.seed == seed]
             assert all(a >= b - 1e-8 for a, b in zip(kls, kls[1:]))
@@ -317,7 +334,7 @@ delta = 0.5
 seeds = 0:20
 """
         cfg = config.parse_config_text(text)[0]
-        rows = runners.run_m_sweep(cfg, dense_limit=500)
+        rows = runners.run_m_sweep(cfg)
         held = 0
         for r in rows:
             assert r.kl_exact <= r.upper - r.elbo + 1e-8

@@ -19,35 +19,40 @@ from sparsegp.errors import (
 )
 
 
+def _cov(kernel, x, x2) -> float:
+    """Covariance between two single points, read from a 1 x 1 Gram."""
+    return float(kernels.gram(kernel, [x], [x2])[0, 0])
+
+
 class TestEval:
     def test_stationary_diagonal(self):
         k = kernels.squared_exponential(1.0, [1.0])
-        assert kernels.eval(k, [0.3], [0.3]) == 1.0
+        assert _cov(k, [0.3], [0.3]) == 1.0
 
     def test_se_unit_distance(self):
         k = kernels.squared_exponential(2.0, [1.0])
-        assert abs(kernels.eval(k, [0.0], [1.0]) - 2.0 * math.exp(-0.5)) <= 1e-15
+        assert abs(_cov(k, [0.0], [1.0]) - 2.0 * math.exp(-0.5)) <= 1e-15
 
     def test_matern_half_unit_distance(self):
         k = kernels.matern_half_integer(0, 1.0, [1.0])
-        assert abs(kernels.eval(k, [0.0], [1.0]) - math.exp(-1.0)) <= 1e-15
+        assert abs(_cov(k, [0.0], [1.0]) - math.exp(-1.0)) <= 1e-15
 
     def test_matern_32_and_52_profiles(self):
         r = 0.7
         k1 = kernels.matern_half_integer(1, 1.0, [1.0])
         s = math.sqrt(3.0) * r
-        assert abs(kernels.eval(k1, [0.0], [r]) - (1 + s) * math.exp(-s)) <= 1e-14
+        assert abs(_cov(k1, [0.0], [r]) - (1 + s) * math.exp(-s)) <= 1e-14
         k2 = kernels.matern_half_integer(2, 1.0, [1.0])
         s = math.sqrt(5.0) * r
         expected = (1 + s + s * s / 3.0) * math.exp(-s)
-        assert abs(kernels.eval(k2, [0.0], [r]) - expected) <= 1e-14
+        assert abs(_cov(k2, [0.0], [r]) - expected) <= 1e-14
 
     def test_dimension_mismatch(self):
         k = kernels.squared_exponential(1.0, [1.0, 1.0])
         with pytest.raises(DimensionMismatchError):
-            kernels.eval(k, [0.0], [0.0, 1.0])
+            _cov(k, [0.0], [0.0, 1.0])
         with pytest.raises(DimensionMismatchError):
-            kernels.eval(k, [0.0], [0.0])
+            _cov(k, [0.0], [0.0])
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(InvalidHyperparameterError):
@@ -103,13 +108,19 @@ class TestGram:
         X = rng.uniform(-2, 2, (500, 2))
         assert np.linalg.eigvalsh(kernels.gram(k, X))[0] >= -1e-10
 
-    def test_cross_gram_matches_eval(self):
+    def test_cross_gram_matches_product_formula(self):
+        # Matern-3/2 in D = 2 is v * prod_d (1 + s_d) exp(-s_d), s_d = sqrt(3) |x_d - x'_d| / ell_d.
         rng = np.random.default_rng(2)
-        k = kernels.matern_half_integer(1, 1.3, [0.5, 1.5])
+        ells = [0.5, 1.5]
+        k = kernels.matern_half_integer(1, 1.3, ells)
         X, X2 = rng.normal(0, 1, (4, 2)), rng.normal(0, 1, (3, 2))
         K = kernels.gram(k, X, X2)
         for i, j in itertools.product(range(4), range(3)):
-            assert abs(K[i, j] - kernels.eval(k, X[i], X2[j])) <= 1e-15
+            expected = 1.3
+            for d in range(2):
+                s = math.sqrt(3.0) * abs(X[i, d] - X2[j, d]) / ells[d]
+                expected *= (1 + s) * math.exp(-s)
+            assert abs(K[i, j] - expected) <= 1e-15
 
 
 def _se_eigenvalues(v, ell, sigma, count):
@@ -204,6 +215,20 @@ class TestARDSpectrum:
         assert np.allclose(ard, products[:12], rtol=1e-12)
 
 
+def _calibrate_matern_tail_constant(order, ell, interval, m_range, quadrature_size=512):
+    """Smallest c0 making ``matern_spectrum_tail``'s tail dominate the numeric tail on m_range.
+
+    The oracle that produced the ``DEFAULT_MATERN_TAIL_C0`` entries.
+    """
+    kernel = kernels.matern_half_integer(order, 1.0, [ell])
+    density = kernels.UniformDensity([interval[0]], [interval[1]])
+    m_max = max(m_range)
+    lam = kernels.nystrom_spectrum(
+        kernel, density, min(quadrature_size, 8 * m_max), quadrature_size
+    ).eigenvalues
+    return max(float(np.sum(lam[m:])) * float(m) ** (2 * order + 1) for m in m_range)
+
+
 class TestMaternTail:
     def test_direct_power(self):
         assert abs(kernels.matern_spectrum_tail(1, 1.0).tail(10) - 1e-3) <= 1e-18
@@ -216,7 +241,7 @@ class TestMaternTail:
             assert abs(b1 / b2 - 2.0 ** (2 * k + 1)) <= 1e-12
 
     def test_calibrated_constant_dominates_numeric_tail(self):
-        c0 = kernels.calibrate_matern_tail_constant(1, 0.5, (0.0, 1.0), range(5, 51))
+        c0 = _calibrate_matern_tail_constant(1, 0.5, (0.0, 1.0), range(5, 51))
         kern = kernels.matern_half_integer(1, 1.0, [0.5])
         spec = kernels.nystrom_spectrum(kern, kernels.UniformDensity([0.0], [1.0]), 400, 512)
         bound = kernels.matern_spectrum_tail(1, c0)
@@ -235,14 +260,6 @@ class TestSpectrumTailValues:
             assert st.tail(m - 1) - st.tail(m) == pytest.approx(st.eigenvalue(m), rel=1e-12)
         tails = [st.tail(m) for m in range(30)]
         assert all(a > b > 0 for a, b in zip(tails, tails[1:]))
-
-    def test_finite_list_variant(self):
-        st = kernels.tail_from_eigenvalues([3.0, 2.0, 1.0])
-        assert st.tail(0) == 6.0
-        assert st.tail(1) == 3.0
-        assert st.tail(3) == 0.0
-        assert st.eigenvalue(2) == 2.0
-        assert st.eigenvalue(9) == 0.0
 
     def test_matern_variant_flagged_asymptotic(self):
         st = kernels.matern_spectrum_tail(1, 0.85)

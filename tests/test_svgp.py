@@ -89,8 +89,8 @@ class TestElbo:
         X = np.array([[0.5]])
         Z = np.array([[0.1]])
         y = np.array([0.7])
-        kuu = kernels.eval(kern, Z[0], Z[0])
-        kuf = kernels.eval(kern, Z[0], X[0])
+        kuu = float(kernels.gram(kern, Z)[0, 0])
+        kuf = float(kernels.gram(kern, Z, X)[0, 0])
         q = kuf * kuf / kuu
         expected = (
             -0.5 * y[0] ** 2 / (q + 0.3)
@@ -346,10 +346,13 @@ class TestKLExact:
         assert svgp.kl_exact(data, kern, noise, ops) <= 1e-8
 
     def test_dense_limit(self):
-        data, kern, noise = make_instance(23, n=10)
+        rng = np.random.default_rng(23)
+        n = gp_exact.DENSE_LIMIT + 1
+        data = gp_exact.Dataset(rng.normal(0, 1, (n, 1)), rng.normal(0, 1, n))
+        kern, noise = kernels.squared_exponential(1.0, [0.6]), gp_exact.NoiseModel(0.5)
         ops = svgp.feature_operators(svgp.Points(data.X[:3]), kern, data.X)
         with pytest.raises(DenseLimitExceededError):
-            svgp.kl_exact(data, kern, noise, ops, dense_limit=5)
+            svgp.kl_exact(data, kern, noise, ops)
 
     def test_joint_gaussian_construction_oracle(self):
         # Build q(u, f_X) and p(u, f_X | y) explicitly as (M+N)-dimensional
