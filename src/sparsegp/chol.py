@@ -32,6 +32,10 @@ PIVOT_FLOOR = 1e-12
 
 _SYMMETRY_RTOL = 1e-10
 
+# Side of the square tiles the symmetry check reads; a matrix of at most this
+# size is checked in one pass.
+_SYMMETRY_TILE = 256
+
 
 @dataclass(frozen=True)
 class LowerFactor:
@@ -73,8 +77,8 @@ def factor(A: np.ndarray) -> LowerFactor:
     m = A.shape[0]
     if m == 0:
         return LowerFactor(np.zeros((0, 0)), 0.0)
-    scale = np.max(np.abs(A))
-    if np.max(np.abs(A - A.T)) > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
+    scale = max(A.max(), -A.min())
+    if _max_asymmetry(A) > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
         raise AsymmetricInputError("input matrix is not symmetric within tolerance")
     mean_diag = float(np.mean(np.diag(A)))
     for level in DEFAULT_JITTER_LEVELS:
@@ -87,6 +91,28 @@ def factor(A: np.ndarray) -> LowerFactor:
     raise NotFactorizableError(
         f"Cholesky failed at all {len(DEFAULT_JITTER_LEVELS)} jitter levels"
     )
+
+
+def _max_asymmetry(A: np.ndarray) -> float:
+    """``max|A - A.T|``, read tile by tile over the upper triangle.
+
+    Entry (r, c) of ``A - A.T`` is exactly minus entry (c, r), so the upper
+    tiles hold every value.  One tile-sized buffer is reused, so no N x N
+    temporary is made; a NaN anywhere gives NaN, as the one-pass form does.
+    """
+    m = A.shape[0]
+    tile = _SYMMETRY_TILE
+    if m <= tile:
+        return np.max(np.abs(A - A.T))
+    buf = np.empty((tile, tile))
+    worst = 0.0
+    for i in range(0, m, tile):
+        for j in range(i, m, tile):
+            upper = A[i : i + tile, j : j + tile]
+            out = buf[: upper.shape[0], : upper.shape[1]]
+            np.subtract(upper, A[j : j + tile, i : i + tile].T, out=out)
+            worst = np.maximum(worst, np.max(np.abs(out, out=out)))
+    return worst
 
 
 def rank_one_update(f: LowerFactor, v: np.ndarray) -> LowerFactor:

@@ -2,8 +2,11 @@
 
 All solves route through :mod:`sparsegp.chol` with the default jitter
 schedule; the jitter actually used is visible on the returned factors.  The
-prior mean is identically zero.  Every entry point builds one
-:class:`DenseSystem`, which refuses N above ``DENSE_LIMIT``.
+prior mean is identically zero.  :func:`dense_system` builds the one
+:class:`DenseSystem` of an instance and refuses N above ``DENSE_LIMIT``.
+:func:`log_marginal_likelihood` and :func:`posterior` build their own;
+:func:`sample_prior_outputs` and :func:`sparsegp.svgp.evaluate` read one the
+caller built, so a harness cell draws y and evaluates from the same factor.
 """
 
 from __future__ import annotations
@@ -111,9 +114,7 @@ def posterior(
     return mean, 0.5 * (cov + cov.T)
 
 
-def sample_prior_outputs(
-    X, kernel: kernels.KernelSpec, noise: NoiseModel, seed: int
-) -> np.ndarray:
-    """Draw y ~ N(0, K_ff + noise*I); reproducible for a fixed seed."""
-    L = dense_system(X, kernel, noise).noisy.L
+def sample_prior_outputs(system: DenseSystem, seed: int) -> np.ndarray:
+    """Draw y ~ N(0, K_ff + noise*I) from a built system; reproducible for a fixed seed."""
+    L = system.noisy.L
     return L @ np.random.default_rng(seed).standard_normal(L.shape[0])

@@ -145,9 +145,8 @@ def _parse_m_rule(get) -> MRule:
     return MRule(mode)
 
 
-def _build_experiment(name: str, section) -> ExperimentConfig:
-    def get(key, default=None):
-        return section.get(key, default)
+def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
+    get = section.get
 
     kind = get("kind", "").strip().lower()
     if kind not in KINDS:
@@ -176,6 +175,10 @@ def _build_experiment(name: str, section) -> ExperimentConfig:
         raise ConfigError("m-sweep experiments need a nonempty m_grid")
     epsilon = get("epsilon", None)
     chain_steps = get("chain_steps", None)
+    timing = get("record_timing", "off")
+    record_timing = configparser.ConfigParser.BOOLEAN_STATES.get(timing.strip().lower())
+    if record_timing is None:
+        raise ConfigError(f"record_timing must be on/off, true/false, yes/no or 1/0: {timing!r}")
     return ExperimentConfig(
         name=name,
         kind=kind,
@@ -192,7 +195,7 @@ def _build_experiment(name: str, section) -> ExperimentConfig:
         epsilon=float(epsilon) if epsilon not in (None, "") else None,
         chain_steps=int(chain_steps) if chain_steps not in (None, "") else None,
         quadrature=int(get("quadrature", "2048")),
-        record_timing=section.getboolean("record_timing", fallback=False),
+        record_timing=record_timing,
         dispersion_lengthscales=[
             float(tok) for tok in get("dispersion_lengthscales", "2.0 0.5").split()
         ],
@@ -205,24 +208,23 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
+        # Each value is interpolated here, once (``%%`` reads as ``%``).
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    defaults = dict(parser["defaults"]) if parser.has_section("defaults") else {}
+    defaults = sections.get("defaults", {})
     experiments = []
-    for section_name in parser.sections():
+    for section_name, section in sections.items():
         if not section_name.startswith("experiment:"):
             if section_name != "defaults":
                 raise ConfigError(f"unexpected section [{section_name}]")
             continue
         name = section_name.split(":", 1)[1]
-        merged = dict(defaults)
-        merged.update(parser[section_name])
+        merged = {**defaults, **section}
         unknown = sorted(set(merged) - KNOWN_KEYS)
         if unknown:
             raise ConfigError(f"experiment {name!r}: unknown keys {', '.join(unknown)}")
-        proxy = configparser.ConfigParser()
-        proxy.read_dict({"s": merged})
-        experiments.append(_build_experiment(name, proxy["s"]))
+        experiments.append(_build_experiment(name, merged))
     if not experiments:
         raise ConfigError("config defines no [experiment:*] sections")
     return experiments

@@ -130,15 +130,16 @@ def _run_cell(
     tail: kernels.SpectrumTail | None,
 ) -> ResultRow:
     X = _draw_inputs(cfg.density, n, _derived_seed(seed, n, m, _PHASE_DATA))
-    y = gp_exact.sample_prior_outputs(
-        X, cfg.kernel, cfg.noise, _derived_seed(seed, n, m, _PHASE_OUTPUTS)
-    )
-    data = gp_exact.Dataset(X, y)
     t0 = time.perf_counter()
     ind = _select_inducing(cfg, X, m, _derived_seed(seed, n, m, _PHASE_SELECT))
     m_used = ind.count
     t1 = time.perf_counter()
-    report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind)
+    # The N x N system is built after selection (each phase has its own seed),
+    # so a selection that builds its own Gram never holds both in memory.
+    dense = gp_exact.dense_system(X, cfg.kernel, cfg.noise)
+    y = gp_exact.sample_prior_outputs(dense, _derived_seed(seed, n, m, _PHASE_OUTPUTS))
+    data = gp_exact.Dataset(X, y)
+    report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind, dense)
     t2 = time.perf_counter()
     _fill_apriori(report, cfg, n, m_used, tail)
     t3 = time.perf_counter()

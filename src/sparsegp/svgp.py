@@ -2,8 +2,9 @@
 
 All bound evaluations run through the M x M whitened system (never a dense
 N x N solve), so their cost is O(N M^2).  The exact KL divergence is the one
-O(N^3) quantity: :func:`kl_exact` and :func:`evaluate` read a
-:func:`gp_exact.dense_system`, which refuses N above ``gp_exact.DENSE_LIMIT``.
+O(N^3) quantity: :func:`kl_exact` builds a :func:`gp_exact.dense_system`,
+which refuses N above ``gp_exact.DENSE_LIMIT``; :func:`evaluate` reads one the
+caller built (the harness draws y from the same one).
 The standalone bound functions (:func:`elbo`, :func:`upper_bound`, ...) each
 whiten again; :func:`evaluate` whitens once for all of them.
 """
@@ -434,13 +435,17 @@ def evaluate(
     kernel: kernels.KernelSpec,
     noise: gp_exact.NoiseModel,
     inducing: InducingSet,
+    dense: gp_exact.DenseSystem,
 ) -> BoundReport:
     """Compute the full certified-quantity report for one instance.
 
-    Every bound reads one whitened system; Lanczos and the exact KL read one
-    dense system (see :func:`gp_exact.dense_system`).
+    Every bound reads one whitened system; Lanczos and the exact KL read
+    ``dense``, the caller's ``gp_exact.dense_system(data.X, kernel, noise)``.
     """
-    dense = gp_exact.dense_system(data.X, kernel, noise)
+    if dense.K.shape[0] != data.n:
+        raise DimensionMismatchError(
+            f"dense system of size {dense.K.shape[0]} for {data.n} observations"
+        )
     ops = feature_operators(inducing, kernel, data.X)
     A, f_uu = _whiten(ops)
     s2 = noise.variance

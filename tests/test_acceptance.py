@@ -52,7 +52,7 @@ def instance_bank():
             )
         noise = gp_exact.NoiseModel(rng.uniform(0.1, 1.0))
         X = rng.normal(0, 1, (200, 1))
-        y = gp_exact.sample_prior_outputs(X, kern, noise, seed=i)
+        y = gp_exact.sample_prior_outputs(gp_exact.dense_system(X, kern, noise), seed=i)
         data = gp_exact.Dataset(X, y)
         Z = X[inducing.uniform_subset(200, m, i)]
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
@@ -153,7 +153,8 @@ def test_criterion_4_lemma2_monte_carlo():
         kls[draw] = kl_of(y)
     # hoisted path reproduces the public API bit-for-bit on spot checks
     for draw in (0, 999, 1999):
-        y = gp_exact.sample_prior_outputs(X, kern, noise, seed=10_000 + draw)
+        system = gp_exact.dense_system(X, kern, noise)
+        y = gp_exact.sample_prior_outputs(system, seed=10_000 + draw)
         api_kl = svgp.kl_exact(gp_exact.Dataset(X, y), kern, noise, ops)
         assert abs(api_kl - kls[draw]) <= 1e-9 * max(1.0, api_kl)
 
@@ -242,7 +243,8 @@ def test_criterion_9_thm4_probability_statement():
     held = 0
     for draw in range(100):
         X = rng.normal(0, 1, (1000, 1))
-        y = gp_exact.sample_prior_outputs(X, kern, noise, seed=50_000 + draw)
+        system = gp_exact.dense_system(X, kern, noise)
+        y = gp_exact.sample_prior_outputs(system, seed=50_000 + draw)
         data = gp_exact.Dataset(X, y)
         idx = inducing.kdpp_mcmc(kern, X, sched.m, 1000, seed=draw, allow_truncation=True)
         ops = svgp.feature_operators(svgp.Points(X[idx]), kern, data.X)

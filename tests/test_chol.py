@@ -5,6 +5,7 @@ edited matrix from scratch and compare.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,42 @@ class TestFactor:
         f = chol.factor(a)
         assert f.jitter_used > 0
         assert np.max(np.abs(f.reconstruct() - a)) <= 1e-4
+
+
+class TestSymmetryCheck:
+    # chol.factor reads max|A - A.T| tile by tile; tiles are 256 wide.
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_equals_one_pass_max(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        assert chol._max_asymmetry(a) == np.max(np.abs(a - a.T))
+        sym = a + a.T
+        assert chol._max_asymmetry(sym) == np.max(np.abs(sym - sym.T)) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 255, 257, 600])
+    def test_nan_propagates(self, n):
+        a = random_spd(np.random.default_rng(n), n)
+        a[n - 1, n // 3] = np.nan
+        assert np.isnan(np.max(np.abs(a - a.T)))
+        assert np.isnan(chol._max_asymmetry(a))
+
+    @pytest.mark.parametrize("entry", [(598, 590), (10, 590), (590, 10)])
+    def test_asymmetry_in_last_partial_tile_rejected(self, entry):
+        # At n = 600 the last tile row and column cover indices 512..599.
+        a = random_spd(np.random.default_rng(5), 600)
+        a[entry] += 1e-6 * np.max(np.abs(a))
+        with pytest.raises(AsymmetricInputError):
+            chol.factor(a)
+
+    def test_peak_memory_is_the_factor(self):
+        a = random_spd(np.random.default_rng(6), 1500)
+        tracemalloc.start()
+        try:
+            chol.factor(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * a.nbytes
 
 
 class TestRankOneUpdate:

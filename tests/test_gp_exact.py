@@ -166,9 +166,10 @@ class TestPriorSampling:
         X = rng.normal(0, 1, (8, 1))
         k = make_kernel()
         noise = gp_exact.NoiseModel(0.3)
-        y1 = gp_exact.sample_prior_outputs(X, k, noise, seed=11)
-        y2 = gp_exact.sample_prior_outputs(X, k, noise, seed=11)
-        y3 = gp_exact.sample_prior_outputs(X, k, noise, seed=12)
+        system = gp_exact.dense_system(X, k, noise)
+        y1 = gp_exact.sample_prior_outputs(system, seed=11)
+        y2 = gp_exact.sample_prior_outputs(gp_exact.dense_system(X, k, noise), seed=11)
+        y3 = gp_exact.sample_prior_outputs(system, seed=12)
         assert np.array_equal(y1, y2)
         assert not np.array_equal(y1, y3)
 
@@ -176,10 +177,10 @@ class TestPriorSampling:
         # Var y = v + noise for a single input, over 1e5 seeds.
         k = make_kernel(v=0.9)
         noise = gp_exact.NoiseModel(0.4)
-        X = np.array([[0.2]])
+        system = gp_exact.dense_system(np.array([[0.2]]), k, noise)
         n_seeds = 100_000
         draws = np.fromiter(
-            (gp_exact.sample_prior_outputs(X, k, noise, seed=s)[0] for s in range(n_seeds)),
+            (gp_exact.sample_prior_outputs(system, seed=s)[0] for s in range(n_seeds)),
             dtype=float,
             count=n_seeds,
         )
@@ -191,11 +192,11 @@ class TestPriorSampling:
     def test_pair_correlation_monte_carlo(self):
         k = make_kernel(v=1.0, ell=1.0)
         noise = gp_exact.NoiseModel(0.5)
-        X = np.array([[0.0], [1.0]])
+        system = gp_exact.dense_system(np.array([[0.0], [1.0]]), k, noise)
         n_seeds = 100_000
         draws = np.empty((n_seeds, 2))
         for s in range(n_seeds):
-            draws[s] = gp_exact.sample_prior_outputs(X, k, noise, seed=s)
+            draws[s] = gp_exact.sample_prior_outputs(system, seed=s)
         target = math.exp(-0.5) / 1.5
         corr = float(np.corrcoef(draws.T)[0, 1])
         se = (1 - target**2) / math.sqrt(n_seeds)

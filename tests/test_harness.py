@@ -265,9 +265,9 @@ class TestRunners:
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         assert runners.run_fixed_m(cfg) == runners.run_fixed_m(cfg)
 
-    def test_two_dense_grams_and_factors_per_cell(self, monkeypatch):
-        # Drawing y builds one N x N Gram and factor of K + s2 I; the Lanczos
-        # matvec and the exact KL share a second one.
+    def test_one_dense_gram_and_factor_per_cell(self, monkeypatch):
+        # The y draw, the Lanczos matvec and the exact KL share one N x N
+        # Gram and one factor of K + s2 I.
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         calls = Counter()
         gram, factor = kernels.gram, chol.factor
@@ -287,8 +287,25 @@ class TestRunners:
         rows = runners.run_fixed_m(cfg)
         assert len(rows) == len(cfg.seeds) * len(cfg.n_grid)
         for n in cfg.n_grid:
-            assert calls["gram", (n, n)] == 2 * len(cfg.seeds)
-            assert calls["factor", (n, n)] == 2 * len(cfg.seeds)
+            assert calls["gram", (n, n)] == len(cfg.seeds)
+            assert calls["factor", (n, n)] == len(cfg.seeds)
+
+    def test_outputs_drawn_from_the_evaluated_system(self, monkeypatch):
+        cfg = config.parse_config_text(SMOKE_CONFIG)[0]
+        seen = []
+        evaluate = svgp.evaluate
+
+        def capturing_evaluate(data, kernel, noise, ind, dense):
+            seen.append((data, dense))
+            return evaluate(data, kernel, noise, ind, dense)
+
+        monkeypatch.setattr(svgp, "evaluate", capturing_evaluate)
+        runners._run_cell(cfg, 1, 40, 8, None)
+        (data, dense), = seen
+        seed = runners._derived_seed(1, 40, 8, runners._PHASE_OUTPUTS)
+        z = np.random.default_rng(seed).standard_normal(40)
+        assert np.array_equal(data.y, dense.noisy.L @ z)
+        assert np.array_equal(dense.K, kernels.gram(cfg.kernel, data.X))
 
     def test_m_sweep_monotone_kl_for_eigvec(self):
         text = """
@@ -440,6 +457,22 @@ class TestCli:
         cfg_path.write_text(SMOKE_CONFIG)
         res = self._run("m-sweep", "--config", str(cfg_path))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "line", ["record_timing = maybe", "out_csv = a%b.csv", "out_csv = %(missing)s.csv"]
+    )
+    def test_bad_config_value_exit_2(self, tmp_path, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(SMOKE_CONFIG.replace("out_csv = smoke.csv", line))
+        assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_percent_escape_read_once(self, tmp_path):
+        cfg_path = tmp_path / "pct.cfg"
+        text = SMOKE_CONFIG.replace("out_csv = smoke.csv", "out_csv = a%%b.csv")
+        cfg_path.write_text(text.replace("n_grid = 40 80", "n_grid = 40"))
+        assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        assert len(emit.parse_csv(str(tmp_path / "a%b.csv"))) == 2
 
     @pytest.mark.parametrize("passed,code,tag", [(True, 0, "PASS"), (False, 1, "FAIL")])
     def test_oracle_suite_exit_code(self, monkeypatch, capsys, passed, code, tag):

@@ -27,7 +27,7 @@ def make_instance(seed, n=50, ell=0.6, v=1.0, s2=0.5):
     kern = kernels.squared_exponential(v, [ell])
     noise = gp_exact.NoiseModel(s2)
     X = rng.normal(0, 1, (n, 1))
-    y = gp_exact.sample_prior_outputs(X, kern, noise, seed=seed + 1000)
+    y = gp_exact.sample_prior_outputs(gp_exact.dense_system(X, kern, noise), seed=seed + 1000)
     return gp_exact.Dataset(X, y), kern, noise
 
 
@@ -363,7 +363,7 @@ class TestKLExact:
         kern = kernels.matern_half_integer(0, 1.0, [0.5])
         noise = gp_exact.NoiseModel(0.5)
         X = rng0.normal(0, 1, (50, 1))
-        y = gp_exact.sample_prior_outputs(X, kern, noise, seed=1024)
+        y = gp_exact.sample_prior_outputs(gp_exact.dense_system(X, kern, noise), seed=1024)
         data = gp_exact.Dataset(X, y)
         rng = np.random.default_rng(123)
         Z = rng.normal(0, 1.2, (5, 1))
@@ -470,7 +470,8 @@ class TestEvaluate:
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
         t = svgp.trace_gap(kern, data.X, ops)
         lam = svgp.lambda_max_gap(kern, data.X, ops)
-        report = svgp.evaluate(data, kern, noise, svgp.Points(Z))
+        dense = gp_exact.dense_system(data.X, kern, noise)
+        report = svgp.evaluate(data, kern, noise, svgp.Points(Z), dense)
         assert report.t == t
         assert report.lambda_max_tilde == lam
         assert report.elbo == svgp.elbo(ops, data.y, noise)
@@ -485,3 +486,9 @@ class TestEvaluate:
         )
         assert report.norm_y_sq == pytest.approx(float(data.y @ data.y))
         assert report.jitter_used >= 0.0
+
+    def test_system_of_other_inputs_rejected(self):
+        data, kern, noise = make_instance(27, n=40)
+        dense = gp_exact.dense_system(data.X[:30], kern, noise)
+        with pytest.raises(DimensionMismatchError):
+            svgp.evaluate(data, kern, noise, svgp.Points(data.X[:5]), dense)
