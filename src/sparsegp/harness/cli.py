@@ -18,12 +18,6 @@ from . import runners
 from .config import default_config, parse_config
 from .emit import PlotSpec, emit_csv, emit_selection_csv, emit_svg
 
-_RUNNERS = {
-    "fixed-m": runners.run_fixed_m,
-    "m-sweep": runners.run_m_sweep,
-    "log-schedule": runners.run_fixed_m,
-}
-
 _PLOTS = {
     "fixed-m": PlotSpec(
         x="n", ys=("kl_exact", "lemma2_lo", "lemma2_hi"), log_x=True, log_y=True,
@@ -103,7 +97,7 @@ def main(argv=None) -> int:
                     print(f"{cfg.name}: mean nearest-neighbour distance {label}: {dist:.4f}")
                 print(f"{cfg.name}: wrote {path}")
                 continue
-            rows = _RUNNERS[args.command](cfg)
+            rows = runners.run_grid(cfg)
             csv_path = _out_path(args.out_dir, cfg.out_csv or f"{cfg.name}.csv")
             emit_csv(rows, csv_path)
             if cfg.out_svg:

@@ -46,11 +46,16 @@ class MRule:
             return int(self.m)
         if self.mode == "log":
             return max(1, math.ceil(self.coeff * math.log(n) + self.intercept))
-        params = bounds.ScheduleParams(
-            gamma=cfg.gamma, delta=cfg.delta, variance=cfg.kernel.variance
-        )
-        ell, sigma = float(cfg.kernel.lengthscales[0]), float(cfg.density.std[0])
-        return bounds.m_schedule_se_1d(n, params, ell, sigma, cfg.noise.variance).m
+        return _schedule_se_1d(n, cfg).m
+
+
+def _schedule_se_1d(n: int, cfg: "ExperimentConfig") -> bounds.ScheduleSE1D:
+    """The 1-D SE/Gaussian schedule's (M, epsilon) prescription at N."""
+    params = bounds.ScheduleParams(
+        gamma=cfg.gamma, delta=cfg.delta, variance=cfg.kernel.variance
+    )
+    ell, sigma = float(cfg.kernel.lengthscales[0]), float(cfg.density.std[0])
+    return bounds.m_schedule_se_1d(n, params, ell, sigma, cfg.noise.variance)
 
 
 @dataclass
@@ -75,14 +80,21 @@ class ExperimentConfig:
     out_csv: str | None = None
     out_svg: str | None = None
 
+    def epsilon_at(self, n: int) -> float:
+        """Sampling tolerance at N: the set epsilon, else the schedule's, else N^-3."""
+        if self.epsilon is not None:
+            return self.epsilon
+        if self.m_rule.mode == "schedule-se-1d":
+            return _schedule_se_1d(n, self).epsilon
+        return float(n) ** -3
+
     def chain_budget(self, n: int, m: int) -> int:
         """Exchange-chain steps: the override, else min(mixing budget, cap)."""
         from .. import inducing
 
         if self.chain_steps is not None:
             return self.chain_steps
-        eps = self.epsilon if self.epsilon is not None else float(n) ** -3
-        return min(inducing.mixing_steps(n, m, eps), CHAIN_STEP_CAP)
+        return min(inducing.mixing_steps(n, m, self.epsilon_at(n)), CHAIN_STEP_CAP)
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -81,7 +81,7 @@ def _fill_apriori(
     )
     report.lemma2_lo, report.lemma2_hi = bounds.lemma2_interval(report.t, s2)
     if tail is not None:
-        eps = cfg.epsilon if cfg.epsilon is not None else float(n) ** -3
+        eps = cfg.epsilon_at(n)
         report.thm1 = bounds.thm1(n, m, cfg.delta, report.norm_y_sq, s2, tail)
         report.thm2 = bounds.thm2(n, m, cfg.delta, s2, tail)
         report.thm3 = bounds.thm3(
@@ -162,29 +162,20 @@ def _sorted_rows(rows: list[ResultRow]) -> list[ResultRow]:
     return sorted(rows, key=lambda r: (r.experiment, r.seed, r.n, r.m))
 
 
-def run_fixed_m(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Sweep N with M from the configured rule; runs both `fixed-m` and `log-schedule`.
+def run_grid(cfg: ExperimentConfig) -> list[ResultRow]:
+    """One row per (seed, N, M) cell of the configured grid.
 
-    Each N must be at most ``gp_exact.DENSE_LIMIT``: a larger one raises
+    ``m-sweep`` sweeps ``m_grid`` at the first N; ``fixed-m`` and
+    ``log-schedule`` sweep ``n_grid`` with M from ``m_rule``.  Each N must be
+    at most ``gp_exact.DENSE_LIMIT``: a larger one raises
     ``DenseLimitExceededError`` when its dense system is built.
     """
     tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
-    rows = []
-    for seed in cfg.seeds:
-        for n in cfg.n_grid:
-            m = min(cfg.m_rule.resolve(n, cfg), n)
-            rows.append(_run_cell(cfg, seed, n, m, tail))
-    return _sorted_rows(rows)
-
-
-def run_m_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Sweep M on a fixed dataset size (convergence-rate experiment)."""
-    tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
-    n = cfg.n_grid[0]
-    rows = []
-    for seed in cfg.seeds:
-        for m in cfg.m_grid:
-            rows.append(_run_cell(cfg, seed, n, min(m, n), tail))
+    if cfg.kind == "m-sweep":
+        grid = [(cfg.n_grid[0], m) for m in cfg.m_grid]
+    else:
+        grid = [(n, cfg.m_rule.resolve(n, cfg)) for n in cfg.n_grid]
+    rows = [_run_cell(cfg, seed, n, min(m, n), tail) for seed in cfg.seeds for n, m in grid]
     return _sorted_rows(rows)
 
 

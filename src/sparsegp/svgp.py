@@ -1,5 +1,9 @@
 """Variational core: feature operators, collapsed bound, upper bounds, exact KL.
 
+Each inducing family (points, Gram eigenvectors, operator eigenfunctions) is a
+set of linear functionals of f; its one method ``covariances(kernel, X)``
+returns (Kuu, Kux), and :func:`feature_operators` and :func:`predict` share it.
+
 All bound evaluations run through the M x M whitened system (never a dense
 N x N solve), so their cost is O(N M^2).  The exact KL divergence is the one
 O(N^3) quantity: :func:`kl_exact` builds a :func:`gp_exact.dense_system`,
@@ -51,13 +55,19 @@ class Points:
     def count(self) -> int:
         return self.Z.shape[0]
 
+    def covariances(self, kernel, X) -> tuple[np.ndarray, np.ndarray]:
+        """Kuu = K(Z, Z) and Kux = K(Z, X)."""
+        if self.Z.shape[1] != X.shape[1]:
+            raise DimensionMismatchError("inducing points and data dimension differ")
+        return kernels.gram(kernel, self.Z), kernels.gram(kernel, self.Z, X)
+
 
 @dataclass(frozen=True)
 class EigenvectorFeatures:
     """Features built from the top eigenpairs of the training Gram matrix.
 
-    ``anchors`` holds the training inputs the eigenvectors refer to; they are
-    required to evaluate cross-covariances at new locations.
+    ``anchors`` holds the training inputs the eigenvectors refer to: feature
+    m is ``u_m = w_m^T f(anchors)``.
     """
 
     lambdas: np.ndarray
@@ -85,6 +95,17 @@ class EigenvectorFeatures:
     def count(self) -> int:
         return self.lambdas.shape[0]
 
+    def covariances(self, kernel, X) -> tuple[np.ndarray, np.ndarray]:
+        """Kuu = diag(lambdas) and Kux = W^T K(anchors, X).
+
+        At the anchors themselves K W = W diag(lambdas), so Kux is read off as
+        diag(lambdas) W^T without building the N x N Gram.
+        """
+        Kuu = np.diag(self.lambdas)
+        if X.shape == self.anchors.shape and np.array_equal(X, self.anchors):
+            return Kuu, self.lambdas[:, None] * self.W.T
+        return Kuu, self.W.T @ kernels.gram(kernel, self.anchors, X)
+
 
 @dataclass(frozen=True)
 class EigenfunctionFeatures:
@@ -107,13 +128,20 @@ class EigenfunctionFeatures:
     def count(self) -> int:
         return self.lambdas.shape[0]
 
+    def covariances(self, kernel, X) -> tuple[np.ndarray, np.ndarray]:
+        """Kuu = diag(lambdas) and Kux = diag(lambdas) phi(X)^T."""
+        Phi = np.asarray(self.phi(X), dtype=float)
+        if Phi.shape != (X.shape[0], self.count):
+            raise DimensionMismatchError("phi(X) must return an (n, M) array")
+        return np.diag(self.lambdas), self.lambdas[:, None] * Phi.T
+
 
 InducingSet = Union[Points, EigenvectorFeatures, EigenfunctionFeatures]
 
 
 @dataclass(frozen=True)
 class FeatureOperators:
-    """Kuu (M x M), Kuf (M x N) and the prior diagonal of the training part."""
+    """Kuu (M x M), Kuf (M x N) and the prior diagonal at the N inputs."""
 
     Kuu: np.ndarray
     Kuf: np.ndarray
@@ -169,35 +197,16 @@ class BoundReport:
 def feature_operators(
     inducing: InducingSet, kernel: kernels.KernelSpec, X
 ) -> FeatureOperators:
-    """Assemble Kuu and Kuf for any inducing-variable family.
+    """Kuu, Kux and the prior diagonal at the rows of X, for any inducing family.
 
-    Spectral variants produce a diagonal Kuu; eigenvector features require X
-    to be the anchor inputs their eigenvectors were computed from.
+    X may be the training inputs or query points; spectral families give a
+    diagonal Kuu.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if isinstance(inducing, Points):
-        if inducing.Z.shape[1] != X.shape[1]:
-            raise DimensionMismatchError("inducing points and data dimension differ")
-        Kuu = kernels.gram(kernel, inducing.Z)
-        Kuf = kernels.gram(kernel, inducing.Z, X)
-    elif isinstance(inducing, EigenvectorFeatures):
-        if inducing.anchors.shape != X.shape or not np.array_equal(inducing.anchors, X):
-            raise DimensionMismatchError(
-                "eigenvector features are tied to the inputs they were built from"
-            )
-        Kuu = np.diag(inducing.lambdas)
-        Kuf = inducing.lambdas[:, None] * inducing.W.T
-    elif isinstance(inducing, EigenfunctionFeatures):
-        Phi = np.asarray(inducing.phi(X), dtype=float)
-        if Phi.shape != (X.shape[0], inducing.count):
-            raise DimensionMismatchError("phi(X) must return an (n, M) array")
-        Kuu = np.diag(inducing.lambdas)
-        Kuf = inducing.lambdas[:, None] * Phi.T
-    else:
-        raise TypeError(f"unknown inducing set type {type(inducing).__name__}")
-    return FeatureOperators(Kuu, Kuf, kernels.gram_diag(kernel, X))
+    Kuu, Kux = inducing.covariances(kernel, X)
+    return FeatureOperators(Kuu, Kux, kernels.gram_diag(kernel, X))
 
 
 def _whiten(ops: FeatureOperators) -> tuple[np.ndarray, chol.LowerFactor]:
@@ -358,27 +367,13 @@ def predict(
     X_query,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean and per-point variance of the approximate posterior."""
-    X_query = np.asarray(X_query, dtype=float)
-    if X_query.ndim == 1:
-        X_query = X_query[:, None]
-    if isinstance(inducing, Points):
-        Kuu = kernels.gram(kernel, inducing.Z)
-        Kux = kernels.gram(kernel, inducing.Z, X_query)
-    elif isinstance(inducing, EigenvectorFeatures):
-        Kuu = np.diag(inducing.lambdas)
-        Kux = inducing.W.T @ kernels.gram(kernel, inducing.anchors, X_query)
-    elif isinstance(inducing, EigenfunctionFeatures):
-        Kuu = np.diag(inducing.lambdas)
-        Kux = inducing.lambdas[:, None] * np.asarray(inducing.phi(X_query)).T
-    else:
-        raise TypeError(f"unknown inducing set type {type(inducing).__name__}")
-    f = chol.factor(Kuu)
-    Cx = solve_triangular(f.L, Kux, lower=True, check_finite=False)
+    ops = feature_operators(inducing, kernel, X_query)
+    Cx, f = _whiten(ops)
     w = solve_triangular(f.L, sol.mu, lower=True, check_finite=False)
     S1 = solve_triangular(f.L, sol.Sigma, lower=True, check_finite=False)
     Sw = solve_triangular(f.L, S1.T, lower=True, check_finite=False).T
     mean = Cx.T @ w
-    var = kernels.gram_diag(kernel, X_query) + np.sum(
+    var = ops.kff_diag + np.sum(
         Cx * ((0.5 * (Sw + Sw.T) - np.eye(f.dim)) @ Cx), axis=0
     )
     if np.any(var < -1e-10):

@@ -275,7 +275,7 @@ chain_steps = 1500
 seeds = 0:20
 """
     cfg = config.parse_config_text(text)[0]
-    rows = runners.run_fixed_m(cfg)
+    rows = runners.run_grid(cfg)
     medians = [
         float(np.median([r.kl_exact for r in rows if r.n == n])) for n in cfg.n_grid
     ]
@@ -309,7 +309,7 @@ chain_steps = 2000
 seeds = 0:20
 """
     cfg = config.parse_config_text(text)[0]
-    rows = runners.run_fixed_m(cfg)
+    rows = runners.run_grid(cfg)
     kl_med = [float(np.median([r.kl_exact for r in rows if r.n == n])) for n in cfg.n_grid]
     lo_med = [float(np.median([r.lemma2_lo for r in rows if r.n == n])) for n in cfg.n_grid]
     kl_up = all(a < b for a, b in zip(kl_med, kl_med[1:]))

@@ -4,13 +4,13 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsegp import bounds, chol, gp_exact, kernels, svgp
+from sparsegp import bounds, chol, gp_exact, inducing, kernels, svgp
 from sparsegp.errors import ConfigError, DenseLimitExceededError
 from sparsegp.harness import PlotSpec, cli, config, emit, oracle_suite, runners
 
@@ -131,6 +131,22 @@ class TestConfigParsing:
         documented = set(re.findall(r"^\| `(\w+)` \|", doc, flags=re.MULTILINE))
         assert documented == config.KNOWN_KEYS
 
+    def test_epsilon_decided_in_one_place(self):
+        # The schedule's own epsilon, delta * noise / (v N^(gamma + 2)), sets
+        # both the chain budget and the theorem-3/4 columns.
+        cfg = config.default_config("log-schedule")
+        assert cfg.epsilon_at(1000) == pytest.approx(1e-10, rel=1e-12)
+        unbounded = replace(cfg, chain_steps=None)
+        assert unbounded.chain_budget(1000, 12) == inducing.mixing_steps(1000, 12, 1e-10)
+        assert replace(cfg, epsilon=0.01).epsilon_at(1000) == 0.01
+        tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
+        row = runners._run_cell(replace(cfg, chain_steps=200), 0, 60, 5, tail)
+        eps = 0.1 / 60.0**3
+        expected = bounds.thm4(60, row.m, cfg.delta, eps, 1.0, 1.0, tail)
+        assert row.thm4 == pytest.approx(expected, rel=1e-12)
+        fixed = config.parse_config_text(SMOKE_CONFIG)[0]
+        assert fixed.epsilon_at(40) == 40.0**-3
+
     def test_m_rules(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         assert cfg.m_rule.resolve(40, cfg) == 8
@@ -141,7 +157,7 @@ class TestConfigParsing:
 class TestCsvEmission:
     def _rows(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        return runners.run_fixed_m(cfg)
+        return runners.run_grid(cfg)
 
     def test_round_trip_exact(self, tmp_path):
         rows = self._rows()
@@ -189,7 +205,7 @@ class TestCsvEmission:
 class TestSvgEmission:
     def test_deterministic_bytes_and_structure(self, tmp_path):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        rows = runners.run_fixed_m(cfg)
+        rows = runners.run_grid(cfg)
         spec = PlotSpec(x="n", ys=("kl_exact", "lemma2_lo", "lemma2_hi"), title="smoke")
         s1 = emit.render_svg(rows, spec)
         s2 = emit.render_svg(list(rows), spec)
@@ -209,7 +225,7 @@ class TestSvgEmission:
 class TestRunners:
     def test_fixed_m_rows_have_apriori_slots(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        rows = runners.run_fixed_m(cfg)
+        rows = runners.run_grid(cfg)
         assert len(rows) == 4
         for r in rows:
             assert r.violation == ""
@@ -224,7 +240,7 @@ class TestRunners:
             "density = uniform", "density = gaussian"
         ).replace("lengthscale = 0.4", "lengthscale = 0.6")
         cfg = config.parse_config_text(text)[0]
-        rows = runners.run_fixed_m(cfg)
+        rows = runners.run_grid(cfg)
         for r in rows:
             assert r.thm1 is not None and r.thm4 is not None
             assert r.thm3 >= (r.m + 1) * r.thm1 - 1e-9
@@ -244,14 +260,14 @@ class TestRunners:
     def test_matern_in_two_dimensions_leaves_theorem_slots_empty(self):
         cfg = self._matern_unit_interval("0.5 0.5", 1.0)
         assert cfg.kernel.dim == 2 and cfg.density.dim == 2
-        rows = runners.run_fixed_m(cfg)
+        rows = runners.run_grid(cfg)
         for r in rows:
             assert r.violation == "" and r.lemma1 is not None
             assert (r.thm1, r.thm2, r.thm3, r.thm4) == (None, None, None, None)
 
     def test_matern_theorem_slots_scale_with_variance(self):
         cfg = self._matern_unit_interval("0.5", 4.0)
-        row = runners.run_fixed_m(cfg)[0]
+        row = runners.run_grid(cfg)[0]
         tail = kernels.matern_spectrum_tail(1, 4.0 * 0.85)
         assert row.thm2 == bounds.thm2(row.n, row.m, cfg.delta, cfg.noise.variance, tail)
 
@@ -259,11 +275,11 @@ class TestRunners:
         text = SMOKE_CONFIG.replace("n_grid = 40 80", f"n_grid = {gp_exact.DENSE_LIMIT + 1}")
         cfg = config.parse_config_text(text)[0]
         with pytest.raises(DenseLimitExceededError):
-            runners.run_fixed_m(cfg)
+            runners.run_grid(cfg)
 
     def test_determinism_across_runs(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
-        assert runners.run_fixed_m(cfg) == runners.run_fixed_m(cfg)
+        assert runners.run_grid(cfg) == runners.run_grid(cfg)
 
     def test_one_dense_gram_and_factor_per_cell(self, monkeypatch):
         # The y draw, the Lanczos matvec and the exact KL share one N x N
@@ -284,7 +300,7 @@ class TestRunners:
 
         monkeypatch.setattr(kernels, "gram", counting_gram)
         monkeypatch.setattr(chol, "factor", counting_factor)
-        rows = runners.run_fixed_m(cfg)
+        rows = runners.run_grid(cfg)
         assert len(rows) == len(cfg.seeds) * len(cfg.n_grid)
         for n in cfg.n_grid:
             assert calls["gram", (n, n)] == len(cfg.seeds)
@@ -324,7 +340,7 @@ method = eigvec
 seeds = 0 1 2
 """
         cfg = config.parse_config_text(text)[0]
-        rows = runners.run_m_sweep(cfg)
+        rows = runners.run_grid(cfg)
         for seed in (0, 1, 2):
             kls = [r.kl_exact for r in rows if r.seed == seed]
             assert all(a >= b - 1e-8 for a, b in zip(kls, kls[1:]))
@@ -351,7 +367,7 @@ delta = 0.5
 seeds = 0:20
 """
         cfg = config.parse_config_text(text)[0]
-        rows = runners.run_m_sweep(cfg)
+        rows = runners.run_grid(cfg)
         held = 0
         for r in rows:
             assert r.kl_exact <= r.upper - r.elbo + 1e-8

@@ -69,11 +69,15 @@ class TestFeatureOperators:
         truncated = (V[:, -6:] * w[-6:]) @ V[:, -6:].T
         assert np.max(np.abs(dense_qff(ops) - truncated)) <= 1e-8
 
-    def test_eigenvector_features_require_their_anchors(self):
+    def test_eigenvector_features_off_anchors_match_anchor_columns(self):
+        # W^T K(anchors, X) at a subset of the anchors equals the matching
+        # columns of the diag(lambdas) W^T read off at the anchors.
         data, kern, _ = make_instance(3, n=10)
         feats = inducing.eigenvector_features(kern, data.X, 3)
-        with pytest.raises(DimensionMismatchError):
-            svgp.feature_operators(feats, kern, data.X[:-1])
+        at_anchors = svgp.feature_operators(feats, kern, data.X)
+        subset = svgp.feature_operators(feats, kern, data.X[:-1])
+        assert np.array_equal(subset.Kuu, at_anchors.Kuu)
+        assert np.max(np.abs(subset.Kuf - at_anchors.Kuf[:, :-1])) <= 1e-12
 
 
 class TestElbo:
@@ -330,6 +334,29 @@ class TestPredict:
         mean, var = svgp.predict(sol, svgp.Points(Z), kern, np.array([[80.0]]))
         assert abs(mean[0]) <= 1e-8
         assert abs(var[0] - kern.variance) <= 1e-8
+
+    def test_full_eigenvector_basis_matches_exact_posterior(self):
+        # A full eigenbasis u = W^T f(X) is an invertible map of f(X), so the
+        # approximate posterior is exact at held-out points too.
+        rng = np.random.default_rng(23)
+        kern = kernels.matern_half_integer(0, 1.0, [0.5])
+        noise = gp_exact.NoiseModel(0.5)
+        X = rng.normal(0, 1, (15, 1))
+        y = rng.standard_normal(15)
+        feats = inducing.eigenvector_features(kern, X, 15)
+        sol = svgp.optimal_q(svgp.feature_operators(feats, kern, X), y, noise)
+        X_query = rng.normal(0, 1.5, (7, 1))
+        mean, var = svgp.predict(sol, feats, kern, X_query)
+        pm, pc = gp_exact.posterior(gp_exact.Dataset(X, y), kern, noise, X_query)
+        assert np.max(np.abs(mean - pm)) <= 1e-10
+        assert np.max(np.abs(var - np.diag(pc))) <= 1e-10
+
+    def test_eigenfunction_phi_of_wrong_shape_rejected(self):
+        kern = kernels.squared_exponential(1.0, [1.0])
+        feats = svgp.EigenfunctionFeatures(np.array([1.0, 0.5]), lambda X: np.ones((1, 2)))
+        sol = svgp.VariationalSolution(np.zeros(2), np.diag([1.0, 0.5]), 0.0)
+        with pytest.raises(DimensionMismatchError):
+            svgp.predict(sol, feats, kern, np.linspace(0.0, 1.0, 5)[:, None])
 
     def test_negative_variance_guard(self):
         kern = kernels.squared_exponential(1.0, [1.0])
