@@ -2,7 +2,8 @@
 
 Every function here is plain arithmetic on scalars (plus a spectrum-tail
 evaluator where one is needed); computing the inputs they consume is the job
-of the other modules.
+of the other modules.  In particular the spectra come from
+``kernels.spectrum_tail``: nothing here re-derives an eigenvalue formula.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (
     OrderingViolationError,
     OrderTooSmallError,
 )
-from .kernels import SpectrumTail, se_gaussian_constants
+from .kernels import EXACT, SpectrumTail
 
 # The pointwise mean/variance bounds are only proven for 2*KL <= 1/5.
 PROP1_EPSILON_LIMIT = 0.2
@@ -27,20 +28,18 @@ PROP1_EPSILON_LIMIT = 0.2
 class ScheduleParams:
     """Knobs of the a-priori inducing-count schedules.
 
-    gamma is the target decay exponent (KL = O(N^-gamma)), gamma_prime its
-    D-dimensional analogue, delta the confidence level and variance the
-    kernel signal variance.
+    gamma is the target decay exponent (KL = O(N^-gamma)), delta the
+    confidence level and variance the kernel signal variance.
     """
 
     gamma: float = 1.0
-    gamma_prime: float = 3.5
     delta: float = 0.1
     variance: float = 1.0
 
     def __post_init__(self):
         _check_delta(self.delta)
-        if self.gamma <= 0 or self.gamma_prime <= 0:
-            raise InvalidHyperparameterError("decay exponents must be positive")
+        if self.gamma <= 0:
+            raise InvalidHyperparameterError("gamma must be positive")
         if self.variance <= 0:
             raise InvalidHyperparameterError("variance must be positive")
 
@@ -141,53 +140,38 @@ class ScheduleSE1D(NamedTuple):
     epsilon: float
 
 
-def m_schedule_se_1d(
-    N: int,
-    params: ScheduleParams,
-    ell: float,
-    sigma_input: float,
-    noise_var: float,
-) -> ScheduleSE1D:
-    """Inducing-count schedule for 1-D SE kernel and Gaussian inputs.
+# A tail still above the target at this M is taken never to reach it.
+_SCHEDULE_M_LIMIT = 2**40
 
-    Returns M = ceil(((3+gamma) log N + log Dtilde) / log(1/B)) together with
-    the prescribed sampling tolerance epsilon = delta * noise / (v N^(gamma+2)),
-    which together guarantee KL <= N^-gamma (2R/noise + 2/N) with probability
-    1 - delta.
+
+def m_schedule_se_1d(
+    N: int, params: ScheduleParams, tail: SpectrumTail, noise_var: float
+) -> ScheduleSE1D:
+    """Smallest M with ``tail(M) <= 2 delta noise N^-(3+gamma)``, and epsilon.
+
+    For the geometric SE/Gaussian tail this M is
+    ceil(((3+gamma) log N + log Dtilde) / log(1/B)); epsilon is
+    delta * noise / (v N^(gamma+2)) with v = ``params.variance``.  Together
+    they give KL <= N^-gamma (2R/noise + 2/N) with probability 1 - delta.
+    The tail must be EXACT: an asymptotic bound does not certify M.
     """
     if noise_var <= 0:
         raise InvalidHyperparameterError("noise variance must be positive")
-    k = se_gaussian_constants(ell, sigma_input)
-    d_tilde = (
-        params.variance
-        * math.sqrt(2.0 * k.a)
-        / (2.0 * math.sqrt(k.A) * noise_var * params.delta * (1.0 - k.B))
-    )
-    m = math.ceil(((3.0 + params.gamma) * math.log(N) + math.log(d_tilde)) / math.log(1.0 / k.B))
+    if tail.validity != EXACT:
+        raise InvalidHyperparameterError(
+            f"schedule needs an exact tail, got {tail.validity!r}"
+        )
+    target = 2.0 * params.delta * noise_var * float(N) ** -(3.0 + params.gamma)
+    lo, hi = 0, 1  # doubling, then bisection, keeps tail(lo) > target >= tail(hi)
+    while tail.tail(hi) > target:
+        if hi >= _SCHEDULE_M_LIMIT:
+            raise InvalidHyperparameterError(f"spectrum tail stays above {target:.3e}")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if tail.tail(mid) > target else (lo, mid)
     epsilon = params.delta * noise_var / (params.variance * float(N) ** (params.gamma + 2.0))
-    return ScheduleSE1D(max(m, 1), epsilon)
-
-
-def m_schedule_se_Dd(
-    N: int, D: int, params: ScheduleParams, ell: float, sigma_input: float
-) -> int:
-    """Inducing-count schedule for the isotropic D-dimensional SE/Gaussian case.
-
-    M = ceil((1/alpha) * log(N^gamma' (2a/A)^(D/2) D^2 / alpha)^D) with
-    alpha = -log B, which grows as Theta(log^D N).
-    """
-    if D < 1:
-        raise InvalidHyperparameterError("dimension must be >= 1")
-    k = se_gaussian_constants(ell, sigma_input)
-    alpha = -math.log(k.B)
-    inner = (
-        params.gamma_prime * math.log(N)
-        + 0.5 * D * math.log(2.0 * k.a / k.A)
-        + math.log(D * D / alpha)
-    )
-    if inner <= 0.0:
-        return 1
-    return max(math.ceil(inner**D / alpha), 1)
+    return ScheduleSE1D(hi, epsilon)
 
 
 APOSTERIORI = "aposteriori"

@@ -34,7 +34,7 @@ CHAIN_STEP_CAP = 20_000_000
 
 @dataclass(frozen=True)
 class MRule:
-    """How M is chosen from N: a constant, C*log(N)+C0, or the 1-D SE schedule."""
+    """How M is chosen from N: a constant, C*log(N)+C0, or the spectrum schedule."""
 
     mode: str
     m: int | None = None
@@ -50,12 +50,12 @@ class MRule:
 
 
 def _schedule_se_1d(n: int, cfg: "ExperimentConfig") -> bounds.ScheduleSE1D:
-    """The 1-D SE/Gaussian schedule's (M, epsilon) prescription at N."""
+    """The schedule's (M, epsilon) prescription at N, from the pair's exact tail."""
     params = bounds.ScheduleParams(
         gamma=cfg.gamma, delta=cfg.delta, variance=cfg.kernel.variance
     )
-    ell, sigma = float(cfg.kernel.lengthscales[0]), float(cfg.density.std[0])
-    return bounds.m_schedule_se_1d(n, params, ell, sigma, cfg.noise.variance)
+    tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
+    return bounds.m_schedule_se_1d(n, params, tail, cfg.noise.variance)
 
 
 @dataclass
@@ -143,17 +143,29 @@ def _parse_density(get, dim: int) -> kernels.DensitySpec:
     raise ConfigError(f"unknown density variant {variant!r}")
 
 
+def _number(get, key: str, cast, ok, expected: str, default: str | None = None):
+    """``key`` (``default`` if unset or empty) through ``cast``; None if that is
+    None, a ConfigError naming the key if ``ok`` rejects the value."""
+    text = get(key, "") or default
+    if text is None:
+        return None
+    value = cast(text)
+    if not ok(value):
+        raise ConfigError(f"{key} must be {expected}, got {text}")
+    return value
+
+
 def _parse_m_rule(get) -> MRule:
     mode = get("m_rule", "fixed").strip().lower()
     if mode not in M_RULES:
         raise ConfigError(f"unknown m_rule {mode!r}; expected one of {M_RULES}")
     if mode == "fixed":
-        return MRule(mode, m=int(get("m", "10")))
+        return MRule(mode, m=_number(get, "m", int, lambda m: m >= 1, "positive", "10"))
     if mode == "log":
-        coeff = get("m_coeff", None)
+        coeff = _number(get, "m_coeff", float, lambda c: 0 < c < math.inf, "positive")
         if coeff is None:
             raise ConfigError("m_rule=log needs m_coeff")
-        return MRule(mode, coeff=float(coeff), intercept=float(get("m_intercept", "0.0")))
+        return MRule(mode, coeff=coeff, intercept=float(get("m_intercept", "0.0")))
     return MRule(mode)
 
 
@@ -166,15 +178,13 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
     kernel = _parse_kernel(get)
     density = _parse_density(get, kernel.dim)
     m_rule = _parse_m_rule(get)
-    if m_rule.mode == "schedule-se-1d" and not (
-        kernel.family == kernels.SQUARED_EXPONENTIAL
-        and kernel.dim == 1
-        and isinstance(density, kernels.GaussianDensity)
-    ):
-        raise ConfigError(
-            f"experiment {name!r}: m_rule=schedule-se-1d needs an se kernel in one "
-            "dimension with a gaussian density"
-        )
+    if m_rule.mode == "schedule-se-1d":
+        tail = kernels.spectrum_tail(kernel, density)
+        if tail is None or tail.validity != kernels.EXACT:
+            raise ConfigError(
+                f"experiment {name!r}: m_rule=schedule-se-1d needs an exact spectrum "
+                "(an se kernel in one dimension with a gaussian density)"
+            )
     noise = NoiseModel(float(get("noise_variance", "1.0")))
     method = get("method", "points-kdpp").strip().lower()
     if method not in METHODS:
@@ -185,8 +195,6 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("n_grid must be nonempty")
     if kind == "m-sweep" and not m_grid:
         raise ConfigError("m-sweep experiments need a nonempty m_grid")
-    epsilon = get("epsilon", None)
-    chain_steps = get("chain_steps", None)
     timing = get("record_timing", "off")
     record_timing = configparser.ConfigParser.BOOLEAN_STATES.get(timing.strip().lower())
     if record_timing is None:
@@ -202,10 +210,10 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         method=method,
         seeds=_parse_seeds(get("seeds", "0:10")),
         m_grid=m_grid,
-        gamma=float(get("gamma", "1.0")),
-        delta=float(get("delta", "0.1")),
-        epsilon=float(epsilon) if epsilon not in (None, "") else None,
-        chain_steps=int(chain_steps) if chain_steps not in (None, "") else None,
+        gamma=_number(get, "gamma", float, lambda g: 0 < g < math.inf, "positive", "1.0"),
+        delta=_number(get, "delta", float, lambda d: 0.0 < d < 1.0, "in (0, 1)", "0.1"),
+        epsilon=_number(get, "epsilon", float, lambda e: 0.0 < e < 1.0, "in (0, 1)"),
+        chain_steps=_number(get, "chain_steps", int, lambda s: s >= 0, "nonnegative"),
         quadrature=int(get("quadrature", "2048")),
         record_timing=record_timing,
         dispersion_lengthscales=[
@@ -248,7 +256,7 @@ def parse_config(path: str) -> list[ExperimentConfig]:
 
 
 # Built-in experiment definitions used when no --config is given.  The
-# log-schedule default derives M from the 1-D SE/Gaussian schedule; pass
+# log-schedule default derives M from the exact SE/Gaussian tail; pass
 # m_rule=log with an explicit m_coeff to override.
 DEFAULT_CONFIGS = {
     "fixed-m": """

@@ -212,35 +212,31 @@ def feature_operators(
 def _whiten(ops: FeatureOperators) -> tuple[np.ndarray, chol.LowerFactor]:
     """Return A = Luu^{-1} Kuf and the factor of (jittered) Kuu."""
     f = chol.factor(ops.Kuu)
-    if ops.m == 0:
-        return np.zeros((0, ops.n)), f
     A = solve_triangular(f.L, ops.Kuf, lower=True, check_finite=False)
     return A, f
 
 
-def _log_bound(A: np.ndarray, y: np.ndarray, noise_var: float, shift: float) -> float:
-    """Log density of y under N(0, A^T A + noise I), via the M x M system.
+def _log_bounds(A: np.ndarray, y: np.ndarray, noise_var: float):
+    """Return (L, log_bound) for the M x M system of N(0, A^T A + noise I).
 
-    The log-determinant always uses the unshifted noise (that is what both
-    the lower and upper bounds share); the quadratic form uses the noise
-    plus ``shift``.
+    L factors I + A A^T / noise.  ``log_bound(shift)`` is the log density of y
+    with the log-determinant at the unshifted noise (what both the lower and
+    upper bounds share) and the quadratic form at the noise plus ``shift``; A A^T,
+    A y and the unshifted factor are computed once, here.
     """
-    n = y.shape[0]
-    s = noise_var + shift
-    m = A.shape[0]
-    if m == 0:
-        quad, logdet = float(y @ y) / s, n * math.log(noise_var)
-    else:
-        B_shift = np.eye(m) + (A @ A.T) / s
-        c = solve_triangular(
-            np.linalg.cholesky(B_shift), A @ y, lower=True, check_finite=False
-        )
-        quad = (float(y @ y) - float(c @ c) / s) / s
-        B = B_shift if shift == 0.0 else np.eye(m) + (A @ A.T) / noise_var
-        logdet = n * math.log(noise_var) + 2.0 * float(
-            np.sum(np.log(np.diag(np.linalg.cholesky(B))))
-        )
-    return -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
+    n, m = y.shape[0], A.shape[0]
+    AAt, Ay, yy = A @ A.T, A @ y, float(y @ y)
+    L0 = np.linalg.cholesky(np.eye(m) + AAt / noise_var)
+    logdet = n * math.log(noise_var) + 2.0 * float(np.sum(np.log(np.diag(L0))))
+
+    def log_bound(shift: float) -> float:
+        s = noise_var + shift
+        L = L0 if shift == 0.0 else np.linalg.cholesky(np.eye(m) + AAt / s)
+        c = solve_triangular(L, Ay, lower=True, check_finite=False)
+        quad = (yy - float(c @ c) / s) / s
+        return -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
+
+    return L0, log_bound
 
 
 def elbo(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> float:
@@ -248,14 +244,14 @@ def elbo(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> float:
     y = np.asarray(y, dtype=float).ravel()
     A, _ = _whiten(ops)
     t = _trace_gap_from(ops.kff_diag, A)
-    return _log_bound(A, y, noise.variance, 0.0) - t / (2.0 * noise.variance)
+    return _log_bounds(A, y, noise.variance)[1](0.0) - t / (2.0 * noise.variance)
 
 
 def upper_bound(ops: FeatureOperators, y, noise: gp_exact.NoiseModel, t: float) -> float:
     """Trace-shifted upper bound on the log marginal likelihood, O(N M^2)."""
     y = np.asarray(y, dtype=float).ravel()
     A, _ = _whiten(ops)
-    return _log_bound(A, y, noise.variance, max(t, 0.0))
+    return _log_bounds(A, y, noise.variance)[1](max(t, 0.0))
 
 
 def refined_upper_bound(
@@ -347,16 +343,14 @@ def optimal_q(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> Variation
     """Closed-form optimum of the variational distribution over u."""
     y = np.asarray(y, dtype=float).ravel()
     A, f_uu = _whiten(ops)
-    m = ops.m
     s2 = noise.variance
-    B = np.eye(m) + (A @ A.T) / s2
-    LB = np.linalg.cholesky(B)
+    LB, log_bound = _log_bounds(A, y, s2)
     c = solve_triangular(LB, A @ y, lower=True, check_finite=False)
     # Sigma = Luu B^{-1} Luu^T, mu = Luu B^{-1} A y / s2, via T = LB^{-1} Luu^T.
     T = solve_triangular(LB, f_uu.L.T, lower=True, check_finite=False)
     Sigma = T.T @ T
     mu = T.T @ c / s2
-    lower = _log_bound(A, y, s2, 0.0) - _trace_gap_from(ops.kff_diag, A) / (2.0 * s2)
+    lower = log_bound(0.0) - _trace_gap_from(ops.kff_diag, A) / (2.0 * s2)
     return VariationalSolution(mu, 0.5 * (Sigma + Sigma.T), lower)
 
 
@@ -446,13 +440,14 @@ def evaluate(
     s2 = noise.variance
     t = _trace_gap_from(ops.kff_diag, A)
     lam = _lambda_max_from(dense.K, A, t, kernel.variance)
-    lower = _log_bound(A, data.y, s2, 0.0) - t / (2.0 * s2)
+    _, log_bound = _log_bounds(A, data.y, s2)
+    lower = log_bound(0.0) - t / (2.0 * s2)
     return BoundReport(
         t=t,
         lambda_max_tilde=lam,
         elbo=lower,
-        upper=_log_bound(A, data.y, s2, t),
-        upper_refined=_log_bound(A, data.y, s2, lam),
+        upper=log_bound(t),
+        upper_refined=log_bound(lam),
         kl_exact=_kl_from(dense.log_marginal_likelihood(data.y), lower),
         norm_y_sq=float(data.y @ data.y),
         jitter_used=f_uu.jitter_used,

@@ -233,11 +233,11 @@ def test_criterion_9_thm4_probability_statement():
     kern = kernels.squared_exponential(1.0, [0.6])
     noise = gp_exact.NoiseModel(1.0)
     delta = 0.1
+    tail = kernels.se_gaussian_spectrum_tail(1.0, 0.6, 1.0)
     sched = bounds.m_schedule_se_1d(
-        1000, bounds.ScheduleParams(gamma=1.0, delta=delta, variance=1.0), 0.6, 1.0, 1.0
+        1000, bounds.ScheduleParams(gamma=1.0, delta=delta, variance=1.0), tail, 1.0
     )
     assert sched.m == 50
-    tail = kernels.se_gaussian_spectrum_tail(1.0, 0.6, 1.0)
     eps = 1000.0**-3
     rng = np.random.default_rng(3)
     held = 0

@@ -1,5 +1,6 @@
 """Tests for the analytic bound evaluators and inducing-count schedules."""
 
+import itertools
 import math
 
 import numpy as np
@@ -140,71 +141,80 @@ class TestNystromTraceBound:
             assert got == pytest.approx(base + 2 * 100 * 2.0 * eps, rel=1e-12)
 
 
+def closed_form_se_schedule_m(N, gamma, delta, v, ell, sigma, noise_var):
+    """M = ceil(((3+gamma) log N + log Dtilde) / log(1/B)), at least 1: the
+    SE/Gaussian schedule in closed form, the oracle for the tail search."""
+    k = kernels.se_gaussian_constants(ell, sigma)
+    d_tilde = v * math.sqrt(2.0 * k.a) / (
+        2.0 * math.sqrt(k.A) * noise_var * delta * (1.0 - k.B)
+    )
+    m = math.ceil(((3.0 + gamma) * math.log(N) + math.log(d_tilde)) / math.log(1.0 / k.B))
+    return max(m, 1)
+
+
 class TestScheduleSE1D:
     def test_worked_example_constants(self):
         # sigma^2 = 1/4, ell^2 = 1/2 gives B = 2 - sqrt(3); evaluate the
         # prescription directly at N=1000, gamma=1, delta=0.1.
         params = bounds.ScheduleParams(gamma=1.0, delta=0.1, variance=1.0)
-        sched = bounds.m_schedule_se_1d(1000, params, math.sqrt(0.5), 0.5, 1.0)
-        k = kernels.se_gaussian_constants(math.sqrt(0.5), 0.5)
-        d_tilde = math.sqrt(2.0) / (2.0 * math.sqrt(k.A) * 0.1 * (1 - k.B))
-        expected = math.ceil((4 * math.log(1000) + math.log(d_tilde)) / math.log(1 / k.B))
+        tail = geometric_tail(1.0, math.sqrt(0.5), 0.5)
+        sched = bounds.m_schedule_se_1d(1000, params, tail, 1.0)
+        expected = closed_form_se_schedule_m(1000, 1.0, 0.1, 1.0, math.sqrt(0.5), 0.5, 1.0)
         assert sched.m == expected
         assert sched.epsilon == pytest.approx(0.1 / 1000.0**3, rel=1e-12)
+
+    def test_tail_search_matches_closed_form(self):
+        grid = itertools.product(
+            (2, 10, 57, 100, 250, 1000, 2000, 3000, 4000, 5000),  # N
+            (0.5, 1.0, 2.0),  # gamma
+            (0.01, 0.1, 0.5),  # delta
+            (0.5, 1.0, 4.0),  # v
+            (0.05, 0.1, 0.3, 0.6, 1.0, 2.0, 5.0),  # ell
+            (0.25, 1.0, 3.0),  # sigma
+            (0.01, 0.1, 1.0),  # noise variance
+        )
+        mismatches = []
+        for n, gamma, delta, v, ell, sigma, s2 in grid:
+            params = bounds.ScheduleParams(gamma=gamma, delta=delta, variance=v)
+            got = bounds.m_schedule_se_1d(n, params, geometric_tail(v, ell, sigma), s2).m
+            want = closed_form_se_schedule_m(n, gamma, delta, v, ell, sigma, s2)
+            if got != want:
+                mismatches.append((n, gamma, delta, v, ell, sigma, s2, got, want))
+        assert not mismatches
 
     def test_quadrupling_n_increment(self):
         params = bounds.ScheduleParams(gamma=1.0, delta=0.1, variance=1.0)
         k = kernels.se_gaussian_constants(0.6, 1.0)
         step = (3 + 1) * math.log(4) / math.log(1 / k.B)
         for n in (200, 500, 3000):
-            m1 = bounds.m_schedule_se_1d(n, params, 0.6, 1.0, 1.0).m
-            m2 = bounds.m_schedule_se_1d(4 * n, params, 0.6, 1.0, 1.0).m
+            m1 = bounds.m_schedule_se_1d(n, params, geometric_tail(), 1.0).m
+            m2 = bounds.m_schedule_se_1d(4 * n, params, geometric_tail(), 1.0).m
             assert abs((m2 - m1) - step) <= 1.0
 
     def test_short_lengthscale_needs_many_features(self):
         params = bounds.ScheduleParams(gamma=1.0, delta=0.1, variance=1.0)
-        m_long = bounds.m_schedule_se_1d(1000, params, 1.0, 1.0, 1.0).m
-        m_short = bounds.m_schedule_se_1d(1000, params, 0.05, 1.0, 1.0).m
+        m_long = bounds.m_schedule_se_1d(1000, params, geometric_tail(ell=1.0), 1.0).m
+        m_short = bounds.m_schedule_se_1d(1000, params, geometric_tail(ell=0.05), 1.0).m
         assert m_short > 4 * m_long
 
     def test_known_fig3_value(self):
         # ell=0.6, unit input std, unit noise, gamma=1, delta=0.1 at N=1000
         # lands on exactly 50 features (Dtilde = 5).
         params = bounds.ScheduleParams(gamma=1.0, delta=0.1, variance=1.0)
-        sched = bounds.m_schedule_se_1d(1000, params, 0.6, 1.0, 1.0)
+        sched = bounds.m_schedule_se_1d(1000, params, geometric_tail(), 1.0)
         assert sched.m == 50
 
+    def test_asymptotic_tail_rejected(self):
+        # The calibrated Matern constant bounds the tail's order, not the
+        # tail itself, so it cannot certify a count.
+        tail = kernels.matern_spectrum_tail(1, 0.85)
+        assert tail.validity == kernels.ASYMPTOTIC_BOUND
+        with pytest.raises(InvalidHyperparameterError, match="exact"):
+            bounds.m_schedule_se_1d(1000, bounds.ScheduleParams(), tail, 1.0)
 
-class TestScheduleSEDd:
-    def test_reduces_to_1d_shape(self):
-        params = bounds.ScheduleParams(gamma_prime=3.5, delta=0.1, variance=1.0)
-        k = kernels.se_gaussian_constants(0.7, 1.0)
-        alpha = -math.log(k.B)
-        inner = 3.5 * math.log(500) + 0.5 * math.log(2 * k.a / k.A) + math.log(1.0 / alpha)
-        expected = max(math.ceil(inner / alpha), 1)
-        assert bounds.m_schedule_se_Dd(500, 1, params, 0.7, 1.0) == expected
-
-    def test_polylog_growth(self):
-        # M(N) / log^D N stays bounded (by a D-dependent constant) over the
-        # sweep; the largest ratio occurs at the smallest N.
-        params = bounds.ScheduleParams(gamma_prime=3.5, delta=0.1, variance=1.0)
-        for d in (1, 2, 3):
-            ratios = [
-                bounds.m_schedule_se_Dd(n, d, params, 0.7, 1.0) / math.log(n) ** d
-                for n in (100, 1000, 10_000, 100_000, 1_000_000)
-            ]
-            assert max(ratios) <= 1.05 * ratios[0]
-
-    def test_dimension_increases_count_superlinearly(self):
-        params = bounds.ScheduleParams(gamma_prime=3.5, delta=0.1, variance=1.0)
-        ms = [bounds.m_schedule_se_Dd(10_000, d, params, 0.7, 1.0) for d in (1, 2, 3)]
-        assert ms[0] < ms[1] < ms[2]
-        assert ms[1] > 2 * ms[0] and ms[2] > 3 * ms[1]
-
-    def test_invalid_dimension(self):
-        params = bounds.ScheduleParams()
-        with pytest.raises(InvalidHyperparameterError):
-            bounds.m_schedule_se_Dd(100, 0, params, 0.7, 1.0)
+    def test_tail_that_never_falls_rejected(self):
+        with pytest.raises(InvalidHyperparameterError, match="stays above"):
+            bounds.m_schedule_se_1d(1000, bounds.ScheduleParams(), constant_tail(1e-3), 1.0)
 
 
 class TestScheduleMatern:

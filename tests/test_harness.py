@@ -107,8 +107,15 @@ class TestConfigParsing:
                 "density = uniform": "density = gaussian",
             },
             {},
+            # Matern-3/2 on [0, 1] has a calibrated tail, but only as an
+            # asymptotic bound, which cannot certify a count.
+            {
+                "kernel = se": "kernel = matern",
+                "lengthscale = 0.4": "lengthscale = 0.5",
+                "density_upper = 5.0": "density_upper = 1.0",
+            },
         ],
-        ids=["matern", "two-dims", "uniform-density"],
+        ids=["matern", "two-dims", "uniform-density", "calibrated-matern"],
     )
     def test_se_schedule_needs_se_gaussian_one_dim(self, edits):
         text = SMOKE_CONFIG.replace("m_rule = fixed", "m_rule = schedule-se-1d")
@@ -119,12 +126,68 @@ class TestConfigParsing:
         ok = text.replace("kernel = matern", "kernel = se").replace("0.4 0.4", "0.4")
         ok = ok.replace("density = uniform", "density = gaussian")
         cfg = config.parse_config_text(ok)[0]
-        sched = bounds.m_schedule_se_1d(100, bounds.ScheduleParams(), 0.4, 1.0, 0.1)
+        ell = float(cfg.kernel.lengthscales[0])
+        tail = kernels.se_gaussian_spectrum_tail(1.0, ell, 1.0)
+        sched = bounds.m_schedule_se_1d(100, bounds.ScheduleParams(), tail, 0.1)
         assert cfg.m_rule.resolve(100, cfg) == sched.m
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "epsilon = -0.001",
+            "epsilon = 0",
+            "epsilon = 1",
+            "chain_steps = -5",
+            "m_rule = log\nm_coeff = -3",
+            "m_rule = log\nm_coeff = 0",
+            "m_rule = log\nm_coeff = inf",
+            "m_rule = fixed\nm = 0",
+            "m_rule = fixed\nm = -3",
+            "delta = 1.5",
+            "gamma = 0",
+        ],
+        ids=[
+            "eps-negative",
+            "eps-zero",
+            "eps-one",
+            "steps-negative",
+            "coeff-negative",
+            "coeff-zero",
+            "coeff-infinite",
+            "m-zero",
+            "m-negative",
+            "delta-above-one",
+            "gamma-zero",
+        ],
+    )
+    def test_documented_ranges_checked_when_parsed(self, line):
+        key = line.split("\n")[-1].split(" = ")[0]
+        text = SMOKE_CONFIG.replace("m_rule = fixed\nm = 8\n", "").replace(
+            "chain_steps = 200\n", ""
+        )
+        with pytest.raises(ConfigError, match=key):
+            config.parse_config_text(text + line + "\n")
 
     def test_power_rule_rejected(self):
         with pytest.raises(ConfigError, match="power"):
             config.parse_config_text(SMOKE_CONFIG.replace("m_rule = fixed", "m_rule = power"))
+
+    def test_hash_manifest_lists_each_shipped_output_once(self):
+        # Checks names only, so it holds on any machine; the hashes
+        # themselves are checked by README's regeneration command.
+        root = Path(__file__).resolve().parents[1] / "configs"
+        outputs = [
+            name
+            for path in sorted(root.glob("*.cfg"))
+            for cfg in config.parse_config(str(path))
+            for name in (cfg.out_csv, cfg.out_svg)
+            if name
+        ]
+        lines = (root / "SHA256SUMS").read_text(encoding="utf-8").splitlines()
+        listed = [re.fullmatch(r"[0-9a-f]{64}  (\S+)", line) for line in lines]
+        assert all(listed), lines
+        assert sorted(m.group(1) for m in listed) == sorted(outputs)
+        assert len(set(outputs)) == len(outputs)
 
     def test_config_md_documents_exactly_the_known_keys(self):
         doc = CONFIG_MD.read_text(encoding="utf-8")
