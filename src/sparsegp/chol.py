@@ -6,6 +6,12 @@ submatrix while single elements are swapped in and out: a rank-one update,
 deletion of a row/column, and appending of a row/column.  Each edit costs
 O(M^2), which is what makes swapping one element of a long Metropolis
 chain's subset cheap; the chain edits its factor only on an accepted swap.
+
+Every triangular solve in the library goes through :func:`solve_lower`: one
+direct LAPACK ``dtrtrs`` call, on the memory layout SciPy's own triangular
+solver passes to that routine, so the results match SciPy's to the last bit
+without its per-call argument handling, which at the exchange chain's sizes
+costs several times the solve itself.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     AsymmetricInputError,
@@ -115,6 +121,43 @@ def _max_asymmetry(A: np.ndarray) -> float:
     return worst
 
 
+def solve_lower(L: np.ndarray, b, transpose: bool = False) -> np.ndarray:
+    """Solve ``L x = b``, or ``L^T x = b`` with ``transpose``, for lower-triangular L.
+
+    ``b`` is a vector or a matrix of right-hand sides; only L's lower
+    triangle is read.  LAPACK sees the same bytes in the same orientation as
+    under SciPy's ``scipy.linalg`` triangular solver with ``lower=True``: an
+    F-contiguous L (a 1 x 1 one included) is passed as is, any other as its
+    transpose view, upper-triangular and F-contiguous, so no copy is made.
+    Solving the other orientation of a C-ordered L would copy it and change
+    the last bits of the result.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If L is not square or b's leading dimension is not L's.
+    NotPositiveDefiniteError
+        If L has a zero on its diagonal.
+    """
+    L = np.asarray(L)
+    b = np.asarray(b)
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or b.shape[:1] != L.shape[:1]:
+        raise DimensionMismatchError(
+            f"cannot solve a system of shape {L.shape} against {b.shape}"
+        )
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, b, lower=1, trans=int(transpose))
+    else:
+        x, info = dtrtrs(L.T, b, lower=0, trans=int(not transpose))
+    if info > 0:
+        raise NotPositiveDefiniteError(f"zero on the diagonal of the factor at row {info - 1}")
+    if info < 0:
+        raise DimensionMismatchError(f"LAPACK dtrtrs rejected argument {-info}")
+    return x
+
+
 def rank_one_update(f: LowerFactor, v: np.ndarray) -> LowerFactor:
     """Return the factor of ``f.L @ f.L.T + v @ v.T`` in O(M^2)."""
     v = np.asarray(v, dtype=float).ravel()
@@ -176,7 +219,7 @@ def append_index(f: LowerFactor, k_cross: np.ndarray, k_self: float) -> LowerFac
             f"cross-covariance length {k_cross.shape[0]} != factor dim {m}"
         )
     if m > 0:
-        c = solve_triangular(f.L, k_cross, lower=True, check_finite=False)
+        c = solve_lower(f.L, k_cross)
         d_sq = float(k_self) - float(c @ c)
     else:
         c = k_cross

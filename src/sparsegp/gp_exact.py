@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import chol, kernels
 from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidHyperparameterError
@@ -73,7 +72,7 @@ class DenseSystem:
 
     def log_marginal_likelihood(self, y) -> float:
         """Log density of y under the zero-mean prior with noisy Gram K + noise*I."""
-        alpha = solve_triangular(self.noisy.L, y, lower=True, check_finite=False)
+        alpha = chol.solve_lower(self.noisy.L, y)
         quad = float(alpha @ alpha)
         return -0.5 * quad - 0.5 * chol.log_det(self.noisy) - 0.5 * len(y) * LOG_2PI
 
@@ -107,8 +106,8 @@ def posterior(
         X_query = X_query[:, None]
     L = dense_system(data.X, kernel, noise).noisy.L
     Ks = kernels.gram(kernel, data.X, X_query)
-    V = solve_triangular(L, Ks, lower=True, check_finite=False)
-    alpha = solve_triangular(L, data.y, lower=True, check_finite=False)
+    V = chol.solve_lower(L, Ks)
+    alpha = chol.solve_lower(L, data.y)
     mean = V.T @ alpha
     cov = kernels.gram(kernel, X_query) - V.T @ V
     return mean, 0.5 * (cov + cov.T)

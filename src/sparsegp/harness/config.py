@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .. import bounds, kernels
 from ..errors import ConfigError
-from ..gp_exact import NoiseModel
+from ..gp_exact import DENSE_LIMIT, NoiseModel
 
 METHODS = ("points-kdpp", "points-uniform", "points-greedy", "eigvec", "eigfunc")
 KINDS = ("fixed-m", "m-sweep", "log-schedule", "dispersion")
@@ -155,6 +155,16 @@ def _number(get, key: str, cast, ok, expected: str, default: str | None = None):
     return value
 
 
+def _int_list(get, key: str, ok, expected: str, default: str) -> list[int]:
+    """Space-separated ints under ``key``; a ConfigError naming the key if
+    ``ok`` rejects any of them."""
+    text = get(key, default)
+    values = [int(tok) for tok in text.split()]
+    if not all(ok(v) for v in values):
+        raise ConfigError(f"{key} must hold {expected}, got {text}")
+    return values
+
+
 def _parse_m_rule(get) -> MRule:
     mode = get("m_rule", "fixed").strip().lower()
     if mode not in M_RULES:
@@ -189,8 +199,10 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
     method = get("method", "points-kdpp").strip().lower()
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    n_grid = [int(tok) for tok in get("n_grid", "100").split()]
-    m_grid = [int(tok) for tok in get("m_grid", "").split()]
+    n_grid = _int_list(
+        get, "n_grid", lambda n: 1 <= n <= DENSE_LIMIT, f"positive ints <= {DENSE_LIMIT}", "100"
+    )
+    m_grid = _int_list(get, "m_grid", lambda m: m >= 1, "positive ints", "")
     if not n_grid:
         raise ConfigError("n_grid must be nonempty")
     if kind == "m-sweep" and not m_grid:
@@ -214,7 +226,7 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         delta=_number(get, "delta", float, lambda d: 0.0 < d < 1.0, "in (0, 1)", "0.1"),
         epsilon=_number(get, "epsilon", float, lambda e: 0.0 < e < 1.0, "in (0, 1)"),
         chain_steps=_number(get, "chain_steps", int, lambda s: s >= 0, "nonnegative"),
-        quadrature=int(get("quadrature", "2048")),
+        quadrature=_number(get, "quadrature", int, lambda q: q >= 1, "positive", "2048"),
         record_timing=record_timing,
         dispersion_lengthscales=[
             float(tok) for tok in get("dispersion_lengthscales", "2.0 0.5").split()

@@ -9,6 +9,10 @@ edits the factor (an O(M^2) delete/append) only when a swap is accepted; the
 RNG draws of a step come in a fixed order.  Also provides the
 provable step budget for epsilon-close sampling, an exact enumerator used as
 a desk-scale oracle, and the two spectral feature families.
+
+Every triangular solve here, as everywhere in the library, goes through
+``chol.solve_lower``, one direct LAPACK call per solve: at the chain's small
+M, SciPy's per-call argument handling would cost several times the solve.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import chol, kernels, svgp
 from .errors import (
@@ -144,7 +147,7 @@ def init_sampler(
 
 def _inverse_diagonal(f: chol.LowerFactor) -> np.ndarray:
     # diag(K_S^-1): the squared column norms of L^-1.
-    L_inv = solve_triangular(f.L, np.eye(f.dim), lower=True, check_finite=False)
+    L_inv = chol.solve_lower(f.L, np.eye(f.dim))
     return np.einsum("ij,ij->j", L_inv, L_inv)
 
 
@@ -205,8 +208,8 @@ def advance(
             if M > 1:
                 L = state.factor.L
                 k_Sj = kernels.gram(kernel, X_S, X[j : j + 1])[:, 0]
-                c = solve_triangular(L, k_Sj, lower=True, check_finite=False)
-                w = solve_triangular(L, c, lower=True, trans="T", check_finite=False)
+                c = chol.solve_lower(L, k_Sj)
+                w = chol.solve_lower(L, c, transpose=True)
                 ratio = (k_self - float(c @ c)) * inv_diag[pos_i] + w[pos_i] ** 2
                 if ratio / inv_diag[pos_i] <= chol.PIVOT_FLOOR * k_self:
                     ratio = 0.0

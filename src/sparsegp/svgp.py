@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import chol, gp_exact, kernels
@@ -212,7 +211,7 @@ def feature_operators(
 def _whiten(ops: FeatureOperators) -> tuple[np.ndarray, chol.LowerFactor]:
     """Return A = Luu^{-1} Kuf and the factor of (jittered) Kuu."""
     f = chol.factor(ops.Kuu)
-    A = solve_triangular(f.L, ops.Kuf, lower=True, check_finite=False)
+    A = chol.solve_lower(f.L, ops.Kuf)
     return A, f
 
 
@@ -232,7 +231,7 @@ def _log_bounds(A: np.ndarray, y: np.ndarray, noise_var: float):
     def log_bound(shift: float) -> float:
         s = noise_var + shift
         L = L0 if shift == 0.0 else np.linalg.cholesky(np.eye(m) + AAt / s)
-        c = solve_triangular(L, Ay, lower=True, check_finite=False)
+        c = chol.solve_lower(L, Ay)
         quad = (yy - float(c @ c) / s) / s
         return -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
 
@@ -345,9 +344,9 @@ def optimal_q(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> Variation
     A, f_uu = _whiten(ops)
     s2 = noise.variance
     LB, log_bound = _log_bounds(A, y, s2)
-    c = solve_triangular(LB, A @ y, lower=True, check_finite=False)
+    c = chol.solve_lower(LB, A @ y)
     # Sigma = Luu B^{-1} Luu^T, mu = Luu B^{-1} A y / s2, via T = LB^{-1} Luu^T.
-    T = solve_triangular(LB, f_uu.L.T, lower=True, check_finite=False)
+    T = chol.solve_lower(LB, f_uu.L.T)
     Sigma = T.T @ T
     mu = T.T @ c / s2
     lower = log_bound(0.0) - _trace_gap_from(ops.kff_diag, A) / (2.0 * s2)
@@ -363,9 +362,9 @@ def predict(
     """Predictive mean and per-point variance of the approximate posterior."""
     ops = feature_operators(inducing, kernel, X_query)
     Cx, f = _whiten(ops)
-    w = solve_triangular(f.L, sol.mu, lower=True, check_finite=False)
-    S1 = solve_triangular(f.L, sol.Sigma, lower=True, check_finite=False)
-    Sw = solve_triangular(f.L, S1.T, lower=True, check_finite=False).T
+    w = chol.solve_lower(f.L, sol.mu)
+    S1 = chol.solve_lower(f.L, sol.Sigma)
+    Sw = chol.solve_lower(f.L, S1.T).T
     mean = Cx.T @ w
     var = ops.kff_diag + np.sum(
         Cx * ((0.5 * (Sw + Sw.T) - np.eye(f.dim)) @ Cx), axis=0
@@ -410,9 +409,9 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
         raise DimensionMismatchError("mean/covariance dimensions do not match")
     f1 = chol.factor(S1)
     f2 = chol.factor(S2)
-    half = solve_triangular(f2.L, f1.L, lower=True, check_finite=False)
+    half = chol.solve_lower(f2.L, f1.L)
     trace = float(np.sum(half * half))
-    quad = solve_triangular(f2.L, m1 - m2, lower=True, check_finite=False)
+    quad = chol.solve_lower(f2.L, m1 - m2)
     kl = 0.5 * (
         trace + chol.log_det(f2) - chol.log_det(f1) + float(quad @ quad) - n
     )

@@ -4,15 +4,19 @@ Every edit operation is checked against the obvious oracle: refactorize the
 edited matrix from scratch and compare.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from sparsegp import chol
 from sparsegp.errors import (
     AsymmetricInputError,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NotFactorizableError,
     NotPositiveDefiniteError,
@@ -176,6 +180,87 @@ class TestAppendIndex:
         f = chol.factor(a)
         g = chol.remove_index(chol.append_index(f, a[:, 2] * 0.5 + 0.01, 7.0), 4)
         assert np.max(np.abs(g.L - f.L)) <= 1e-10
+
+
+def _layout(L: np.ndarray, order: str) -> np.ndarray:
+    if order == "C":
+        return np.ascontiguousarray(L)
+    if order == "F":
+        return np.asfortranarray(L)
+    padded = np.zeros((2 * L.shape[0], 2 * L.shape[1]))
+    padded[::2, ::2] = L
+    return padded[::2, ::2]  # neither C- nor F-contiguous
+
+
+class TestSolveLower:
+    """``solve_lower`` is bit-identical to SciPy's triangular solve."""
+
+    @staticmethod
+    def _check(L, b, transpose):
+        x = chol.solve_lower(L, b, transpose=transpose)
+        ref = solve_triangular(
+            L, b, lower=True, trans="T" if transpose else "N", check_finite=False
+        )
+        assert x.shape == ref.shape
+        assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("m", [1, 3, 10, 25])
+    def test_bit_identical_to_scipy(self, m, order, transpose):
+        rng = np.random.default_rng(100 + m)
+        L = _layout(chol.factor(random_spd(rng, m)).L, order)
+        for b in (
+            rng.standard_normal(m),
+            rng.standard_normal((m, 4)),
+            np.asfortranarray(rng.standard_normal((m, 4))),
+        ):
+            self._check(L, b, transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bit_identical_at_dense_size(self, transpose):
+        rng = np.random.default_rng(1000)
+        L = chol.factor(random_spd(rng, 1000)).L
+        self._check(L, rng.standard_normal((1000, 30)), transpose)
+
+    def test_zero_diagonal_raises_typed_error(self):
+        L = np.tril(np.ones((3, 3)))
+        L[1, 1] = 0.0
+        for layout in (L, np.asfortranarray(L)):
+            with pytest.raises(NotPositiveDefiniteError):
+                chol.solve_lower(layout, np.ones(3))
+
+    def test_empty_right_hand_side(self):
+        for b in (np.zeros(0), np.zeros((0, 3))):
+            x = chol.solve_lower(np.zeros((0, 0)), b)
+            ref = solve_triangular(np.zeros((0, 0)), b, lower=True, check_finite=False)
+            assert x.shape == ref.shape == b.shape and x.dtype == ref.dtype
+
+    def test_shape_mismatch_rejected(self):
+        # LAPACK itself would solve the leading 3 rows of a 4-row b and return 0.
+        with pytest.raises(DimensionMismatchError):
+            chol.solve_lower(np.eye(3), np.ones(4))
+        with pytest.raises(DimensionMismatchError):
+            chol.solve_lower(np.ones((3, 2)), np.ones(3))
+
+
+def test_library_has_one_triangular_solve_path():
+    # Every module solves through chol.solve_lower; a name or attribute
+    # ``solve_triangular`` anywhere in the package is a second path.
+    package = Path(chol.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            if "solve_triangular" in names:
+                offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert offenders == []
 
 
 class TestLogDet:

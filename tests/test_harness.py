@@ -145,6 +145,11 @@ class TestConfigParsing:
             "m_rule = fixed\nm = -3",
             "delta = 1.5",
             "gamma = 0",
+            "method = eigfunc\nquadrature = 0",
+            "method = eigfunc\nquadrature = -4",
+            "m_grid = 0 5",
+            "n_grid = 0",
+            f"n_grid = 40 {gp_exact.DENSE_LIMIT + 1}",
         ],
         ids=[
             "eps-negative",
@@ -158,13 +163,24 @@ class TestConfigParsing:
             "m-negative",
             "delta-above-one",
             "gamma-zero",
+            "quadrature-zero",
+            "quadrature-negative",
+            "m-grid-zero",
+            "n-grid-zero",
+            "n-grid-above-dense-limit",
         ],
     )
     def test_documented_ranges_checked_when_parsed(self, line):
         key = line.split("\n")[-1].split(" = ")[0]
-        text = SMOKE_CONFIG.replace("m_rule = fixed\nm = 8\n", "").replace(
-            "chain_steps = 200\n", ""
-        )
+        text = SMOKE_CONFIG
+        for dropped in (
+            "m_rule = fixed\nm = 8\n",
+            "chain_steps = 200\n",
+            "n_grid = 40 80\n",
+            "method = points-kdpp\n",
+        ):
+            text = text.replace(dropped, "")
+        config.parse_config_text(text)  # the base text parses
         with pytest.raises(ConfigError, match=key):
             config.parse_config_text(text + line + "\n")
 
@@ -335,10 +351,11 @@ class TestRunners:
         assert row.thm2 == bounds.thm2(row.n, row.m, cfg.delta, cfg.noise.variance, tail)
 
     def test_dense_limit_enforced(self):
-        text = SMOKE_CONFIG.replace("n_grid = 40 80", f"n_grid = {gp_exact.DENSE_LIMIT + 1}")
-        cfg = config.parse_config_text(text)[0]
+        # A parsed config cannot hold such an N (see the parse-time ranges);
+        # one built in code still stops where its dense system is built.
+        cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         with pytest.raises(DenseLimitExceededError):
-            runners.run_grid(cfg)
+            runners.run_grid(replace(cfg, n_grid=[gp_exact.DENSE_LIMIT + 1]))
 
     def test_determinism_across_runs(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
