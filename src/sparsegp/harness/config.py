@@ -9,10 +9,11 @@ full key reference lives in CONFIG.md at the repository root.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass, field
 
-from .. import bounds, kernels
+from .. import bounds, inducing, kernels
 from ..errors import ConfigError
 from ..gp_exact import DENSE_LIMIT, NoiseModel
 
@@ -20,13 +21,23 @@ METHODS = ("points-kdpp", "points-uniform", "points-greedy", "eigvec", "eigfunc"
 KINDS = ("fixed-m", "m-sweep", "log-schedule", "dispersion")
 M_RULES = ("fixed", "log", "schedule-se-1d")
 
-# Every key CONFIG.md documents; any other key is rejected.
-KNOWN_KEYS = frozenset(
-    """kind kernel variance lengthscale matern_order density density_mean
-    density_std density_lower density_upper noise_variance n_grid m_grid m_rule
-    m m_coeff m_intercept gamma delta method chain_steps epsilon
-    quadrature seeds record_timing out_csv out_svg dispersion_lengthscales""".split()
-)
+# Every key CONFIG.md documents, grouped as there, with the text it reads as
+# when unset (None: no value; the empty ``kind`` is no kind, so the key is
+# required).  Any other key is rejected.
+_DEFAULTS = {
+    "kind": "",
+    "kernel": "se", "variance": "1.0", "lengthscale": "1.0", "matern_order": "1",
+    "density": "gaussian", "density_mean": "0.0", "density_std": "1.0",
+    "density_lower": "0.0", "density_upper": "1.0",
+    "noise_variance": "1.0", "n_grid": "100", "m_grid": "",
+    "m_rule": "fixed", "m": "10", "m_coeff": None, "m_intercept": "0.0",
+    "gamma": "1.0", "delta": "0.1",
+    "method": "points-kdpp", "chain_steps": None, "epsilon": None, "quadrature": "2048",
+    "seeds": "0:10", "record_timing": "off", "out_csv": None, "out_svg": None,
+    "dispersion_lengthscales": "2.0 0.5",
+}
+KNOWN_KEYS = frozenset(_DEFAULTS)
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 # Hard cap on exchange-chain steps when the provable mixing budget is larger.
 CHAIN_STEP_CAP = 20_000_000
@@ -90,149 +101,122 @@ class ExperimentConfig:
 
     def chain_budget(self, n: int, m: int) -> int:
         """Exchange-chain steps: the override, else min(mixing budget, cap)."""
-        from .. import inducing
-
         if self.chain_steps is not None:
             return self.chain_steps
         return min(inducing.mixing_steps(n, m, self.epsilon_at(n)), CHAIN_STEP_CAP)
 
 
-def _parse_seeds(text: str) -> list[int]:
-    text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":")
-        seeds = list(range(int(lo), int(hi)))
-    else:
-        seeds = [int(tok) for tok in text.split()]
-    if not seeds:
-        raise ConfigError("seed list is empty")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    return seeds
-
-
-def _parse_kernel(get) -> kernels.KernelSpec:
-    family = get("kernel", "se").strip().lower()
-    variance = float(get("variance", "1.0"))
-    ells = [float(tok) for tok in get("lengthscale", "1.0").split()]
-    if family == "se":
-        return kernels.squared_exponential(variance, ells)
-    if family == "matern":
-        return kernels.matern_half_integer(int(get("matern_order", "1")), variance, ells)
-    raise ConfigError(f"unknown kernel family {family!r}")
-
-
-def _parse_density(get, dim: int) -> kernels.DensitySpec:
-    variant = get("density", "gaussian").strip().lower()
-    if variant == "gaussian":
-        mean = [float(tok) for tok in get("density_mean", "0.0").split()]
-        std = [float(tok) for tok in get("density_std", "1.0").split()]
-        if len(mean) == 1:
-            mean = mean * dim
-        if len(std) == 1:
-            std = std * dim
-        return kernels.GaussianDensity(mean, std)
-    if variant == "uniform":
-        lower = [float(tok) for tok in get("density_lower", "0.0").split()]
-        upper = [float(tok) for tok in get("density_upper", "1.0").split()]
-        if len(lower) == 1:
-            lower = lower * dim
-        if len(upper) == 1:
-            upper = upper * dim
-        return kernels.UniformDensity(lower, upper)
-    raise ConfigError(f"unknown density variant {variant!r}")
-
-
-def _number(get, key: str, cast, ok, expected: str, default: str | None = None):
-    """``key`` (``default`` if unset or empty) through ``cast``; None if that is
-    None, a ConfigError naming the key if ``ok`` rejects the value."""
-    text = get(key, "") or default
+def _read(section: dict[str, str], key: str, parse, expected: str, ok=lambda value: True):
+    """The text of ``key`` (its default when unset; None if it has none) through
+    ``parse``.  A ValueError from ``parse``, or a value ``ok`` rejects, is a
+    ConfigError naming the key: this is the one place config text is cast."""
+    text = section.get(key, _DEFAULTS[key])
     if text is None:
         return None
-    value = cast(text)
-    if not ok(value):
-        raise ConfigError(f"{key} must be {expected}, got {text}")
-    return value
+    try:
+        value = parse(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} must be {expected}, got {text!r}")
 
 
-def _int_list(get, key: str, ok, expected: str, default: str) -> list[int]:
-    """Space-separated ints under ``key``; a ConfigError naming the key if
-    ``ok`` rejects any of them."""
-    text = get(key, default)
-    values = [int(tok) for tok in text.split()]
-    if not all(ok(v) for v in values):
-        raise ConfigError(f"{key} must hold {expected}, got {text}")
-    return values
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split()]
 
 
-def _parse_m_rule(get) -> MRule:
-    mode = get("m_rule", "fixed").strip().lower()
-    if mode not in M_RULES:
-        raise ConfigError(f"unknown m_rule {mode!r}; expected one of {M_RULES}")
-    if mode == "fixed":
-        return MRule(mode, m=_number(get, "m", int, lambda m: m >= 1, "positive", "10"))
-    if mode == "log":
-        coeff = _number(get, "m_coeff", float, lambda c: 0 < c < math.inf, "positive")
-        if coeff is None:
-            raise ConfigError("m_rule=log needs m_coeff")
-        return MRule(mode, coeff=coeff, intercept=float(get("m_intercept", "0.0")))
-    return MRule(mode)
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split()]
+
+
+def _seed_list(text: str) -> list[int]:
+    lo, colon, hi = text.partition(":")
+    return list(range(int(lo), int(hi))) if colon else _ints(text)
+
+
+def _choice(section: dict[str, str], key: str, options) -> str:
+    return _read(section, key, str.lower, "one of " + ", ".join(options), options.__contains__)
+
+
+def _per_dim(section: dict[str, str], key: str, dim: int) -> list[float]:
+    """Floats under ``key``, one per input dimension; a single value is broadcast."""
+    values = _read(
+        section, key, _floats, "one float, or one per input dimension", lambda v: len(v) in (1, dim)
+    )
+    return values * dim if len(values) == 1 else values
 
 
 def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
-    get = section.get
-
-    kind = get("kind", "").strip().lower()
-    if kind not in KINDS:
-        raise ConfigError(f"experiment {name!r}: kind must be one of {KINDS}, got {kind!r}")
-    kernel = _parse_kernel(get)
-    density = _parse_density(get, kernel.dim)
-    m_rule = _parse_m_rule(get)
+    # Every key is read, also one the kind or rule does not use, so a bad
+    # value is reported whatever the experiment runs.  Ranges that KernelSpec,
+    # the densities and NoiseModel enforce are left to them.
+    read = functools.partial(_read, section)
+    kind = _choice(section, "kind", KINDS)
+    variance = read("variance", float, "a positive float")
+    ells = read("lengthscale", _floats, "positive floats", lambda ells: len(ells) > 0)
+    order = read("matern_order", int, "an integer k >= 0", lambda k: k >= 0)
+    if _choice(section, "kernel", ("se", "matern")) == "se":
+        kernel = kernels.squared_exponential(variance, ells)
+    else:
+        kernel = kernels.matern_half_integer(order, variance, ells)
+    mean, std, lower, upper = (
+        _per_dim(section, f"density_{end}", kernel.dim) for end in ("mean", "std", "lower", "upper")
+    )
+    if _choice(section, "density", ("gaussian", "uniform")) == "gaussian":
+        density = kernels.GaussianDensity(mean, std)
+    else:
+        density = kernels.UniformDensity(lower, upper)
+    m_rule = MRule(
+        _choice(section, "m_rule", M_RULES),
+        m=read("m", int, "a positive int", lambda m: m >= 1),
+        coeff=read("m_coeff", float, "a positive float", lambda c: 0 < c < math.inf),
+        intercept=read("m_intercept", float, "a finite float", math.isfinite),
+    )
+    if m_rule.mode == "log" and m_rule.coeff is None:
+        raise ConfigError("m_rule=log needs m_coeff")
     if m_rule.mode == "schedule-se-1d":
         tail = kernels.spectrum_tail(kernel, density)
         if tail is None or tail.validity != kernels.EXACT:
             raise ConfigError(
-                f"experiment {name!r}: m_rule=schedule-se-1d needs an exact spectrum "
+                "m_rule=schedule-se-1d needs an exact spectrum "
                 "(an se kernel in one dimension with a gaussian density)"
             )
-    noise = NoiseModel(float(get("noise_variance", "1.0")))
-    method = get("method", "points-kdpp").strip().lower()
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    n_grid = _int_list(
-        get, "n_grid", lambda n: 1 <= n <= DENSE_LIMIT, f"positive ints <= {DENSE_LIMIT}", "100"
-    )
-    m_grid = _int_list(get, "m_grid", lambda m: m >= 1, "positive ints", "")
-    if not n_grid:
-        raise ConfigError("n_grid must be nonempty")
+    m_grid = read("m_grid", _ints, "positive ints", lambda ms: all(m >= 1 for m in ms))
     if kind == "m-sweep" and not m_grid:
         raise ConfigError("m-sweep experiments need a nonempty m_grid")
-    timing = get("record_timing", "off")
-    record_timing = configparser.ConfigParser.BOOLEAN_STATES.get(timing.strip().lower())
-    if record_timing is None:
-        raise ConfigError(f"record_timing must be on/off, true/false, yes/no or 1/0: {timing!r}")
     return ExperimentConfig(
         name=name,
         kind=kind,
         kernel=kernel,
         density=density,
-        noise=noise,
-        n_grid=n_grid,
+        noise=NoiseModel(read("noise_variance", float, "a positive float")),
+        n_grid=read(
+            "n_grid",
+            _ints,
+            f"positive ints, each at most {DENSE_LIMIT}",
+            lambda ns: ns and all(1 <= n <= DENSE_LIMIT for n in ns),
+        ),
         m_rule=m_rule,
-        method=method,
-        seeds=_parse_seeds(get("seeds", "0:10")),
+        method=_choice(section, "method", METHODS),
+        seeds=read(
+            "seeds",
+            _seed_list,
+            "distinct ints, listed or as a range a:b",
+            lambda s: s and len(set(s)) == len(s),
+        ),
         m_grid=m_grid,
-        gamma=_number(get, "gamma", float, lambda g: 0 < g < math.inf, "positive", "1.0"),
-        delta=_number(get, "delta", float, lambda d: 0.0 < d < 1.0, "in (0, 1)", "0.1"),
-        epsilon=_number(get, "epsilon", float, lambda e: 0.0 < e < 1.0, "in (0, 1)"),
-        chain_steps=_number(get, "chain_steps", int, lambda s: s >= 0, "nonnegative"),
-        quadrature=_number(get, "quadrature", int, lambda q: q >= 1, "positive", "2048"),
-        record_timing=record_timing,
-        dispersion_lengthscales=[
-            float(tok) for tok in get("dispersion_lengthscales", "2.0 0.5").split()
-        ],
-        out_csv=get("out_csv", None),
-        out_svg=get("out_svg", None),
+        gamma=read("gamma", float, "a positive float", lambda g: 0 < g < math.inf),
+        delta=read("delta", float, "a float in (0, 1)", lambda d: 0 < d < 1),
+        epsilon=read("epsilon", float, "a float in (0, 1)", lambda e: 0 < e < 1),
+        chain_steps=read("chain_steps", int, "a nonnegative int", lambda s: s >= 0),
+        quadrature=read("quadrature", int, "a positive int", lambda q: q >= 1),
+        record_timing=_BOOLEANS[_choice(section, "record_timing", _BOOLEANS)],
+        dispersion_lengthscales=read(
+            "dispersion_lengthscales", _floats, "positive floats", lambda ls: all(l > 0 for l in ls)
+        ),
+        out_csv=read("out_csv", str, "a filename"),
+        out_svg=read("out_svg", str, "a filename"),
     )
 
 
@@ -253,10 +237,13 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
             continue
         name = section_name.split(":", 1)[1]
         merged = {**defaults, **section}
-        unknown = sorted(set(merged) - KNOWN_KEYS)
-        if unknown:
-            raise ConfigError(f"experiment {name!r}: unknown keys {', '.join(unknown)}")
-        experiments.append(_build_experiment(name, merged))
+        try:
+            unknown = sorted(set(merged) - KNOWN_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown keys {', '.join(unknown)}")
+            experiments.append(_build_experiment(name, merged))
+        except ConfigError as exc:
+            raise ConfigError(f"experiment {name!r}: {exc}") from None
     if not experiments:
         raise ConfigError("config defines no [experiment:*] sections")
     return experiments

@@ -83,6 +83,12 @@ def parse_csv(path: str) -> list[ResultRow]:
     return rows
 
 
+def selection_csv_line(run_id: str, method: str, seed: int, indices) -> str:
+    """Serialize a selected index set as `run-id,method,seed,sorted indices`."""
+    idx = " ".join(str(i) for i in sorted(int(i) for i in indices))
+    return f"{run_id},{method},{seed},{idx}"
+
+
 def emit_selection_csv(lines: list[str], path: str) -> None:
     """Write pre-serialized `run-id,method,seed,indices` selection lines."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -17,7 +17,7 @@ import numpy as np
 from .. import bounds, gp_exact, inducing, kernels, svgp
 from ..errors import ConfigError
 from .config import ExperimentConfig
-from .emit import ResultRow
+from .emit import ResultRow, selection_csv_line
 
 _PHASE_DATA, _PHASE_OUTPUTS, _PHASE_SELECT = 0, 1, 2
 
@@ -220,6 +220,6 @@ def run_dispersion_demo(cfg: ExperimentConfig) -> tuple[list[str], dict[str, flo
             n, m, _derived_seed(seed, n, m, _PHASE_SELECT)
         )
         for label, idx in picks.items():
-            lines.append(inducing.selection_csv_line(cfg.name, label, seed, idx))
+            lines.append(selection_csv_line(cfg.name, label, seed, idx))
             nn.setdefault(label, []).append(_mean_nn_distance(X[idx]))
     return lines, {label: float(np.mean(vals)) for label, vals in nn.items()}

@@ -347,8 +347,3 @@ def eigenfunction_features(
         )
     return svgp.EigenfunctionFeatures(lam, spectrum.eigenfunctions)
 
-
-def selection_csv_line(run_id: str, method: str, seed: int, indices) -> str:
-    """Serialize a selected index set as `run-id,method,seed,sorted indices`."""
-    idx = " ".join(str(i) for i in sorted(int(i) for i in indices))
-    return f"{run_id},{method},{seed},{idx}"

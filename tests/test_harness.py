@@ -39,6 +39,14 @@ out_svg = smoke.svg
 """
 
 
+def _with_line(text: str, line: str) -> str:
+    """``text`` with ``line`` appended to its last section, after dropping the
+    lines that already set that key (a repeated key is malformed config)."""
+    key = line.split(" = ")[0]
+    kept = [old for old in text.splitlines() if not old.startswith(key + " = ")]
+    return "\n".join(kept) + "\n" + line + "\n"
+
+
 class TestConfigParsing:
     def test_parse_and_defaults_merge(self):
         cfgs = config.parse_config_text(SMOKE_CONFIG)
@@ -150,6 +158,19 @@ class TestConfigParsing:
             "m_grid = 0 5",
             "n_grid = 0",
             f"n_grid = 40 {gp_exact.DENSE_LIMIT + 1}",
+            "n_grid = 40 abc",
+            "seeds = 0 x",
+            "seeds = 0:x",
+            "quadrature = 2.5",
+            "m = 2.5",
+            "lengthscale = x",
+            "variance = x",
+            "density_std = 1 x",
+            "noise_variance = x",
+            "epsilon = x",
+            "dispersion_lengthscales = x",
+            "m_intercept = x",
+            "matern_order = -1",
         ],
         ids=[
             "eps-negative",
@@ -168,6 +189,19 @@ class TestConfigParsing:
             "m-grid-zero",
             "n-grid-zero",
             "n-grid-above-dense-limit",
+            "n-grid-not-int",
+            "seeds-not-int",
+            "seed-range-not-int",
+            "quadrature-not-int",
+            "m-not-int",
+            "lengthscale-not-float",
+            "variance-not-float",
+            "density-std-not-float",
+            "noise-not-float",
+            "eps-not-float",
+            "dispersion-lengthscales-not-float",
+            "unused-intercept-not-float",
+            "unused-matern-order-negative",
         ],
     )
     def test_documented_ranges_checked_when_parsed(self, line):
@@ -178,6 +212,8 @@ class TestConfigParsing:
             "chain_steps = 200\n",
             "n_grid = 40 80\n",
             "method = points-kdpp\n",
+            "seeds = 0 1\n",
+            "lengthscale = 0.4\n",
         ):
             text = text.replace(dropped, "")
         config.parse_config_text(text)  # the base text parses
@@ -209,6 +245,17 @@ class TestConfigParsing:
         doc = CONFIG_MD.read_text(encoding="utf-8")
         documented = set(re.findall(r"^\| `(\w+)` \|", doc, flags=re.MULTILINE))
         assert documented == config.KNOWN_KEYS
+
+    def test_every_numeric_key_is_cast_when_parsed(self):
+        # A key CONFIG.md documents as int or float rejects a non-number with
+        # a ConfigError naming it, also when the experiment does not use it.
+        doc = CONFIG_MD.read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", doc, flags=re.MULTILINE)
+        numeric = [key for key, values in rows if re.search(r"\b(int|float)", values)]
+        assert len(numeric) >= 20
+        for key in numeric:
+            with pytest.raises(ConfigError, match=key):
+                config.parse_config_text(_with_line(SMOKE_CONFIG, f"{key} = x"))
 
     def test_epsilon_decided_in_one_place(self):
         # The schedule's own epsilon, delta * noise / (v N^(gamma + 2)), sets
@@ -279,6 +326,12 @@ class TestCsvEmission:
         doc = CONFIG_MD.read_text(encoding="utf-8")
         listed = doc.split("Fixed order: `", 1)[1].split("`", 1)[0]
         assert tuple(col.strip() for col in listed.split(",")) == emit.CSV_COLUMNS
+
+
+class TestSelectionSerialization:
+    def test_csv_line_format(self):
+        line = emit.selection_csv_line("fig2", "kdpp-ell=2", 7, np.array([9, 1, 4]))
+        assert line == "fig2,kdpp-ell=2,7,1 4 9"
 
 
 class TestSvgEmission:
@@ -555,11 +608,27 @@ class TestCli:
         assert res.returncode == 2
 
     @pytest.mark.parametrize(
-        "line", ["record_timing = maybe", "out_csv = a%b.csv", "out_csv = %(missing)s.csv"]
+        "line",
+        [
+            "record_timing = maybe",
+            "out_csv = a%b.csv",
+            "out_csv = %(missing)s.csv",
+            "n_grid = 40 abc",
+            "seeds = 0 x",
+            "seeds = 0:x",
+            "quadrature = 2.5",
+            "m = 2.5",
+            "lengthscale = x",
+            "variance = x",
+            "density_std = 1 x",
+            "noise_variance = x",
+            "epsilon = x",
+            "dispersion_lengthscales = x",
+        ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, line):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(SMOKE_CONFIG.replace("out_csv = smoke.csv", line))
+        cfg_path.write_text(_with_line(SMOKE_CONFIG, line))
         assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert not list(tmp_path.glob("*.csv"))
 

@@ -376,9 +376,3 @@ class TestEigenfunctionFeatures:
         dens = kernels.UniformDensity([0.0], [1.0])
         with pytest.raises(QuadratureTooCoarseError):
             inducing.eigenfunction_features(kern, dens, 8, quadrature_size=128)
-
-
-class TestSelectionSerialization:
-    def test_csv_line_format(self):
-        line = inducing.selection_csv_line("fig2", "kdpp-ell=2", 7, np.array([9, 1, 4]))
-        assert line == "fig2,kdpp-ell=2,7,1 4 9"
