@@ -192,10 +192,14 @@ def remove_index(f: LowerFactor, i: int) -> LowerFactor:
         raise IndexOutOfRangeError(f"index {i} outside [0, {m})")
     if i == m - 1:
         return LowerFactor(f.L[:-1, :-1].copy(), f.jitter_used)
-    ell = f.L[i + 1 :, i].copy()
-    L = np.delete(np.delete(f.L, i, axis=0), i, axis=1)
-    tail = LowerFactor(np.ascontiguousarray(L[i:, i:]), f.jitter_used)
-    L[i:, i:] = rank_one_update(tail, ell).L
+    # The three blocks that skip row and column i are copied; the trailing
+    # one is written by the update (which copies its input).
+    L = np.empty((m - 1, m - 1))
+    L[:i, :i] = f.L[:i, :i]
+    L[:i, i:] = f.L[:i, i + 1 :]
+    L[i:, :i] = f.L[i + 1 :, :i]
+    tail = LowerFactor(f.L[i + 1 :, i + 1 :], f.jitter_used)
+    L[i:, i:] = rank_one_update(tail, f.L[i + 1 :, i]).L
     return LowerFactor(L, f.jitter_used)
 
 

@@ -3,7 +3,10 @@
 All solves route through :mod:`sparsegp.chol` with the default jitter
 schedule; the jitter actually used is visible on the returned factors.  The
 prior mean is identically zero.  :func:`dense_system` builds the one
-:class:`DenseSystem` of an instance and refuses N above ``DENSE_LIMIT``.
+:class:`DenseSystem` of an instance and refuses N above ``DENSE_LIMIT``; a
+caller that reads the Gram before it is factored builds it with
+:func:`dense_gram` and factors that same array with
+:meth:`DenseSystem.from_gram`.
 :func:`log_marginal_likelihood` and :func:`posterior` build their own;
 :func:`sample_prior_outputs` and :func:`sparsegp.svgp.evaluate` read one the
 caller built, so a harness cell draws y and evaluates from the same factor.
@@ -70,6 +73,15 @@ class DenseSystem:
     K: np.ndarray
     noisy: chol.LowerFactor
 
+    @classmethod
+    def from_gram(cls, K: np.ndarray, noise: NoiseModel) -> "DenseSystem":
+        """Factor ``K + noise*I`` for a built Gram K, which the system keeps."""
+        k_diag = K.diagonal().copy()
+        np.fill_diagonal(K, k_diag + noise.variance)
+        noisy = chol.factor(K)
+        np.fill_diagonal(K, k_diag)  # the factor does not alias K; no second N x N array
+        return cls(K, noisy)
+
     def log_marginal_likelihood(self, y) -> float:
         """Log density of y under the zero-mean prior with noisy Gram K + noise*I."""
         alpha = chol.solve_lower(self.noisy.L, y)
@@ -77,17 +89,17 @@ class DenseSystem:
         return -0.5 * quad - 0.5 * chol.log_det(self.noisy) - 0.5 * len(y) * LOG_2PI
 
 
-def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> DenseSystem:
-    """The O(N^3) part of an instance, which every dense entry point reads."""
+def dense_gram(X, kernel: kernels.KernelSpec) -> np.ndarray:
+    """The N x N Gram of an instance; refuses N above ``DENSE_LIMIT``."""
     n = len(X)
     if n > DENSE_LIMIT:
         raise DenseLimitExceededError(f"N={n} exceeds the dense limit {DENSE_LIMIT}")
-    K = kernels.gram(kernel, X)
-    k_diag = K.diagonal().copy()
-    np.fill_diagonal(K, k_diag + noise.variance)
-    noisy = chol.factor(K)
-    np.fill_diagonal(K, k_diag)  # the factor does not alias K; no second N x N array
-    return DenseSystem(K, noisy)
+    return kernels.gram(kernel, X)
+
+
+def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> DenseSystem:
+    """The O(N^3) part of an instance, which every dense entry point reads."""
+    return DenseSystem.from_gram(dense_gram(X, kernel), noise)
 
 
 def log_marginal_likelihood(

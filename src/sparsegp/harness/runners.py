@@ -40,9 +40,9 @@ def _draw_inputs(density: kernels.DensitySpec, n: int, seed: int) -> np.ndarray:
 
 
 def _select_inducing(
-    cfg: ExperimentConfig, X: np.ndarray, m: int, seed: int
+    cfg: ExperimentConfig, X: np.ndarray, K: np.ndarray, m: int, seed: int
 ) -> svgp.InducingSet:
-    """Build the configured inducing set; may return fewer than m features.
+    """Build the configured inducing set from X and its Gram K; may return fewer than m features.
 
     Point selections truncate to the numerical rank of the Gram matrix when
     a schedule asks for more columns than are numerically independent; the
@@ -53,16 +53,16 @@ def _select_inducing(
         idx = inducing.uniform_subset(n, m, seed)
         return svgp.Points(X[idx])
     if cfg.method == "points-greedy":
-        idx = inducing.greedy_det_init(cfg.kernel, X, m, allow_truncation=True)
+        idx = inducing.greedy_det_init(K, m, allow_truncation=True)
         return svgp.Points(X[idx])
     if cfg.method == "points-kdpp":
         if m >= n:
             return svgp.Points(X)
         steps = cfg.chain_budget(n, m)
-        idx = inducing.kdpp_mcmc(cfg.kernel, X, m, steps, seed, allow_truncation=True)
+        idx = inducing.kdpp_mcmc(K, m, steps, seed, allow_truncation=True)
         return svgp.Points(X[idx])
     if cfg.method == "eigvec":
-        return inducing.eigenvector_features(cfg.kernel, X, m)
+        return inducing.eigenvector_features(K, X, m)
     if cfg.method == "eigfunc":
         return inducing.eigenfunction_features(cfg.kernel, cfg.density, m, cfg.quadrature)
     raise ConfigError(f"unknown method {cfg.method!r}")
@@ -130,20 +130,25 @@ def _run_cell(
     tail: kernels.SpectrumTail | None,
 ) -> ResultRow:
     X = _draw_inputs(cfg.density, n, _derived_seed(seed, n, m, _PHASE_DATA))
+    # The cell's one N x N Gram is built first (dense_gram refuses N above
+    # DENSE_LIMIT before any work).  Selection reads it; then the dense
+    # system factors that same array, so an eigvec cell's eigendecomposition
+    # is freed before the factor exists.  Each phase has its own seed, so
+    # the order changes no draw.
     t0 = time.perf_counter()
-    ind = _select_inducing(cfg, X, m, _derived_seed(seed, n, m, _PHASE_SELECT))
-    m_used = ind.count
+    K = gp_exact.dense_gram(X, cfg.kernel)
     t1 = time.perf_counter()
-    # The N x N system is built after selection (each phase has its own seed),
-    # so a selection that builds its own Gram never holds both in memory.
-    dense = gp_exact.dense_system(X, cfg.kernel, cfg.noise)
+    ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT))
+    m_used = ind.count
+    t2 = time.perf_counter()
+    dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
     y = gp_exact.sample_prior_outputs(dense, _derived_seed(seed, n, m, _PHASE_OUTPUTS))
     data = gp_exact.Dataset(X, y)
     report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind, dense)
-    t2 = time.perf_counter()
-    _fill_apriori(report, cfg, n, m_used, tail)
     t3 = time.perf_counter()
-    timing = (t1 - t0, t2 - t1, t3 - t2) if cfg.record_timing else (0.0, 0.0, 0.0)
+    _fill_apriori(report, cfg, n, m_used, tail)
+    t4 = time.perf_counter()
+    timing = (t2 - t1, t1 - t0 + t3 - t2, t4 - t3) if cfg.record_timing else (0.0, 0.0, 0.0)
     return ResultRow(
         **dataclasses.asdict(report),
         experiment=cfg.name,
@@ -168,7 +173,7 @@ def run_grid(cfg: ExperimentConfig) -> list[ResultRow]:
     ``m-sweep`` sweeps ``m_grid`` at the first N; ``fixed-m`` and
     ``log-schedule`` sweep ``n_grid`` with M from ``m_rule``.  Each N must be
     at most ``gp_exact.DENSE_LIMIT``: a larger one raises
-    ``DenseLimitExceededError`` when its dense system is built.
+    ``DenseLimitExceededError`` before its Gram is built.
     """
     tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
     if cfg.kind == "m-sweep":
@@ -210,11 +215,11 @@ def run_dispersion_demo(cfg: ExperimentConfig) -> tuple[list[str], dict[str, flo
         X = _cluster_sample(n, _derived_seed(seed, n, m, _PHASE_DATA))
         picks: dict[str, np.ndarray] = {}
         for ell in cfg.dispersion_lengthscales:
-            kern = kernels.squared_exponential(cfg.kernel.variance, [ell])
+            K = kernels.gram(kernels.squared_exponential(cfg.kernel.variance, [ell]), X)
             steps = cfg.chain_budget(n, m)
             label = f"kdpp-ell={ell:g}"
             picks[label] = inducing.kdpp_mcmc(
-                kern, X, m, steps, _derived_seed(seed, n, m, _PHASE_SELECT)
+                K, m, steps, _derived_seed(seed, n, m, _PHASE_SELECT)
             )
         picks["uniform"] = inducing.uniform_subset(
             n, m, _derived_seed(seed, n, m, _PHASE_SELECT)

@@ -154,13 +154,6 @@ def _matern_poly_coeffs(k: int) -> np.ndarray:
     return coeffs * (math.factorial(k) / math.factorial(2 * k))
 
 
-def _matern_profile(r: np.ndarray, k: int) -> np.ndarray:
-    # Unit-variance Matern k+1/2 correlation as a function of r = |x-x'|/ell.
-    s = math.sqrt(2 * k + 1) * np.abs(r)
-    poly = np.polynomial.polynomial.polyval(s, _matern_poly_coeffs(k))
-    return np.exp(-s) * poly
-
-
 def _check_dims(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -172,35 +165,74 @@ def _check_dims(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
+# Elements per row tile of a Gram: two tile buffers (256 KB each) stay in
+# cache while every elementwise pass runs over them.
+_GRAM_TILE = 32768
+
+
 def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
     """Gram matrix of the kernel between rows of X and X2.
 
     With ``X2=None`` the square Gram of X is returned.  It is exactly
     symmetric without a symmetrizing pass: k(x_i, x_j) and k(x_j, x_i) are
     computed from ``x_i - x_j`` and its exact negation by the same operations
-    in the same order.
+    in the same order.  The result is written a tile of rows at a time, each
+    tile through two tile-sized buffers, so no temporary as large as the
+    result is made; every entry gets the same elementwise operations as the
+    whole-array formula, so tiling changes no bit.
     """
     X = _check_dims(kernel, X)
     X2m = X if X2 is None else _check_dims(kernel, X2)
-    if kernel.family == SQUARED_EXPONENTIAL:
-        # In place on two result-sized buffers.
-        sq = np.zeros((X.shape[0], X2m.shape[0]))
-        diff = np.empty_like(sq)
-        for d in range(kernel.dim):
-            np.subtract(X[:, d, None], X2m[None, :, d], out=diff)
-            diff /= kernel.lengthscales[d]
-            diff *= diff
-            sq += diff
-        sq *= -0.5
-        np.exp(sq, out=sq)
-        sq *= kernel.variance
-        K = sq
-    else:
-        K = np.full((X.shape[0], X2m.shape[0]), kernel.variance)
-        for d in range(kernel.dim):
-            diff = (X[:, d, None] - X2m[None, :, d]) / kernel.lengthscales[d]
-            K *= _matern_profile(diff, kernel.matern_order)
+    K = np.empty((X.shape[0], X2m.shape[0]))
+    rows = max(1, _GRAM_TILE // max(1, K.shape[1]))
+    a = np.empty((min(rows, K.shape[0]), K.shape[1]))
+    b = np.empty_like(a)
+    for r in range(0, K.shape[0], rows):
+        out = K[r : r + rows]
+        t = out.shape[0]
+        if kernel.family == SQUARED_EXPONENTIAL:
+            _se_rows(kernel, X[r : r + t], X2m, out, a[:t])
+        else:
+            _matern_rows(kernel, X[r : r + t], X2m, out, a[:t], b[:t])
     return K
+
+
+def _se_rows(kernel: KernelSpec, X, X2, out: np.ndarray, diff: np.ndarray) -> None:
+    # variance * exp(-0.5 * sum_d ((x_d - x2_d) / ell_d)^2), in place.
+    out.fill(0.0)
+    for d in range(kernel.dim):
+        np.subtract(X[:, d, None], X2[None, :, d], out=diff)
+        diff /= kernel.lengthscales[d]
+        diff *= diff
+        out += diff
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= kernel.variance
+
+
+def _matern_rows(
+    kernel: KernelSpec, X, X2, out: np.ndarray, s: np.ndarray, poly: np.ndarray
+) -> None:
+    # variance * prod_d exp(-s_d) p(s_d) with s_d = sqrt(2k+1) |x_d - x2_d| / ell_d
+    # and p the Matern polynomial, evaluated by Horner's rule as numpy's
+    # polyval does (starting from c_k + s*0).
+    k = kernel.matern_order
+    coeffs = _matern_poly_coeffs(k)
+    out.fill(kernel.variance)
+    for d in range(kernel.dim):
+        np.subtract(X[:, d, None], X2[None, :, d], out=s)
+        s /= kernel.lengthscales[d]
+        np.abs(s, out=s)
+        s *= math.sqrt(2 * k + 1)
+        np.multiply(s, 0.0, out=poly)
+        poly += coeffs[-1]
+        for i in range(2, k + 2):
+            poly *= s
+            poly += coeffs[-i]
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s *= poly
+        out *= s
 
 
 def gram_diag(kernel: KernelSpec, X) -> np.ndarray:

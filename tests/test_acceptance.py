@@ -181,7 +181,7 @@ def test_criterion_5_eigenvector_feature_optimality():
     w = np.linalg.eigvalsh(kernels.gram(kern, X))[::-1]
     worst_t, worst_lam = 0.0, 0.0
     for m in (1, 10, 50):
-        feats = inducing.eigenvector_features(kern, X, m)
+        feats = inducing.eigenvector_features(kernels.gram(kern, X), X, m)
         ops = svgp.feature_operators(feats, kern, X)
         t = svgp.trace_gap(kern, X, ops)
         lam = svgp.lambda_max_gap(kern, X, ops, tol=1e-8)
@@ -246,7 +246,7 @@ def test_criterion_9_thm4_probability_statement():
         system = gp_exact.dense_system(X, kern, noise)
         y = gp_exact.sample_prior_outputs(system, seed=50_000 + draw)
         data = gp_exact.Dataset(X, y)
-        idx = inducing.kdpp_mcmc(kern, X, sched.m, 1000, seed=draw, allow_truncation=True)
+        idx = inducing.kdpp_mcmc(system.K, sched.m, 1000, seed=draw, allow_truncation=True)
         ops = svgp.feature_operators(svgp.Points(X[idx]), kern, data.X)
         kl = svgp.kl_exact(data, kern, noise, ops)
         limit = bounds.thm4(1000, len(idx), delta, eps, 1.0, noise.variance, tail)

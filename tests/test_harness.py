@@ -439,6 +439,39 @@ class TestRunners:
             assert calls["gram", (n, n)] == len(cfg.seeds)
             assert calls["factor", (n, n)] == len(cfg.seeds)
 
+    def test_one_dense_gram_per_eigvec_cell(self, monkeypatch):
+        # Eigenvector features come from the cell's one N x N Gram, and their
+        # eigendecomposition is done before K + s2 I is factored.
+        cfg = replace(config.parse_config_text(SMOKE_CONFIG)[0], method="eigvec")
+        events = []
+        gram, factor, eigh = kernels.gram, chol.factor, np.linalg.eigh
+
+        def counting_gram(*args, **kwargs):
+            K = gram(*args, **kwargs)
+            events.append(("gram", K.shape))
+            return K
+
+        def counting_factor(A):
+            events.append(("factor", A.shape))
+            return factor(A)
+
+        def counting_eigh(A, *args, **kwargs):
+            events.append(("eigh", A.shape))
+            return eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        monkeypatch.setattr(chol, "factor", counting_factor)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rows = runners.run_grid(cfg)
+        assert [r.method for r in rows] == ["eigvec"] * 4
+        expected = [
+            (name, (n, n))
+            for _ in cfg.seeds
+            for n in cfg.n_grid
+            for name in ("gram", "eigh", "factor")
+        ]
+        assert [e for e in events if e[1] in {(n, n) for n in cfg.n_grid}] == expected
+
     def test_outputs_drawn_from_the_evaluated_system(self, monkeypatch):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         seen = []

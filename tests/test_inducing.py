@@ -51,13 +51,13 @@ class TestUniformSubset:
 class TestGreedyInit:
     def test_single_point_tie_break(self):
         X = np.linspace(0, 3, 7)[:, None]
-        assert inducing.greedy_det_init(se(), X, 1)[0] == 0
+        assert inducing.greedy_det_init(kernels.gram(se(), X), 1)[0] == 0
 
     def test_two_clusters_pair_enumeration(self):
         X = np.array([[0.0], [0.1], [0.2], [5.0], [5.1]])
         kern = se(ell=1.0)
-        got = set(inducing.greedy_det_init(kern, X, 2).tolist())
         K = kernels.gram(kern, X)
+        got = set(inducing.greedy_det_init(K, 2).tolist())
         best = max(
             itertools.combinations(range(5), 2),
             key=lambda s: np.linalg.det(K[np.ix_(s, s)]),
@@ -71,7 +71,7 @@ class TestGreedyInit:
         for trial in range(50):
             X = rng.normal(0, 1, (30, 1))
             K = kernels.gram(kern, X)
-            greedy = inducing.greedy_det_init(kern, X, 5)
+            greedy = inducing.greedy_det_init(K, 5)
             uniform = inducing.uniform_subset(30, 5, trial)
             det_g = np.linalg.det(K[np.ix_(greedy, greedy)])
             det_u = np.linalg.det(K[np.ix_(uniform, uniform)])
@@ -84,7 +84,7 @@ class TestGreedyInit:
         X = rng.normal(0, 1, (15, 1))
         kern = se(ell=0.7)
         K = kernels.gram(kern, X)
-        order = inducing.greedy_det_init(kern, X, 4).tolist()
+        order = inducing.greedy_det_init(K, 4).tolist()
         for step in range(1, 5):
             prefix = order[:step]
             base = np.linalg.det(K[np.ix_(prefix, prefix)])
@@ -97,11 +97,11 @@ class TestGreedyInit:
     def test_degenerate_inputs_error(self):
         X = np.zeros((4, 1))
         with pytest.raises(DegenerateKernelError):
-            inducing.greedy_det_init(se(), X, 2)
+            inducing.greedy_det_init(kernels.gram(se(), X), 2)
 
     def test_truncation_opt_in(self):
         X = np.array([[0.0], [0.0], [1.0]])
-        got = inducing.greedy_det_init(se(), X, 3, allow_truncation=True)
+        got = inducing.greedy_det_init(kernels.gram(se(), X), 3, allow_truncation=True)
         assert len(got) == 2
 
 
@@ -109,32 +109,31 @@ class TestExchangeChain:
     def test_zero_steps_returns_greedy(self):
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (12, 1))
-        kern = se(ell=0.8)
+        K = kernels.gram(se(ell=0.8), X)
         assert np.array_equal(
-            inducing.kdpp_mcmc(kern, X, 4, 0, seed=5),
-            np.sort(inducing.greedy_det_init(kern, X, 4)),
+            inducing.kdpp_mcmc(K, 4, 0, seed=5), np.sort(inducing.greedy_det_init(K, 4))
         )
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
         X = rng.normal(0, 1, (15, 1))
-        kern = se(ell=0.6)
-        a = inducing.kdpp_mcmc(kern, X, 4, 500, seed=1)
-        b = inducing.kdpp_mcmc(kern, X, 4, 500, seed=1)
+        K = kernels.gram(se(ell=0.6), X)
+        a = inducing.kdpp_mcmc(K, 4, 500, seed=1)
+        b = inducing.kdpp_mcmc(K, 4, 500, seed=1)
         assert np.array_equal(a, b)
 
     def test_m_must_be_below_n(self):
         with pytest.raises(MTooLargeError):
-            inducing.kdpp_mcmc(se(), np.zeros((3, 1)) + np.arange(3)[:, None], 3, 10, 0)
+            inducing.kdpp_mcmc(kernels.gram(se(), np.arange(3.0)[:, None]), 3, 10, 0)
 
     def test_duplicate_location_never_entered(self):
         # One exact duplicate pair: no visited subset may contain both.
         X = np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.5]])
-        kern = se(ell=1.0)
+        K = kernels.gram(se(ell=1.0), X)
         seen = []
-        state = inducing.init_sampler(kern, X, 3, seed=11)
+        state = inducing.init_sampler(K, 3, seed=11)
         inducing.advance(
-            state, kern, X, 3000, on_state=lambda s: seen.append(tuple(sorted(s.indices)))
+            state, K, 3000, on_state=lambda s: seen.append(tuple(sorted(s.indices)))
         )
         assert all(not ({0, 1} <= set(s)) for s in seen)
 
@@ -159,8 +158,9 @@ class TestExchangeChain:
         rng = np.random.default_rng(5)
         X = rng.normal(0, 1, (20, 1))
         kern = se(ell=0.5)
-        state = inducing.init_sampler(kern, X, 5, seed=3)
-        inducing.advance(state, kern, X, 20_000, refactor_every=10_000)
+        K = kernels.gram(kern, X)
+        state = inducing.init_sampler(K, 5, seed=3)
+        inducing.advance(state, K, 20_000, refactor_every=10_000)
         fresh = chol.factor(kernels.gram(kern, X[state.indices]))
         assert abs(chol.log_det(fresh) - state.log_det) <= 1e-6
 
@@ -168,8 +168,9 @@ class TestExchangeChain:
         rng = np.random.default_rng(6)
         X = rng.normal(0, 1, (15, 1))
         kern = se(ell=0.7)
-        state = inducing.init_sampler(kern, X, 4, seed=9)
-        inducing.advance(state, kern, X, 777)
+        K = kernels.gram(kern, X)
+        state = inducing.init_sampler(K, 4, seed=9)
+        inducing.advance(state, K, 777)
         K_S = kernels.gram(kern, X[state.indices])
         assert np.max(np.abs(state.factor.reconstruct() - K_S)) <= 1e-9
 
@@ -177,7 +178,7 @@ class TestExchangeChain:
 def _reference_chain(kernel, X, M, steps, seed):
     # The plain exchange chain: every proposal edits the factor and reads
     # the ratio from log-determinants.  Same start, RNG and draw order.
-    state = inducing.init_sampler(kernel, X, M, seed)
+    state = inducing.init_sampler(kernels.gram(kernel, X), M, seed)
     rng, visited = state.rng, [tuple(state.indices)]
     for _ in range(steps):
         pos_i = int(rng.integers(M))
@@ -202,12 +203,13 @@ def _reference_chain(kernel, X, M, steps, seed):
     return visited
 
 
-def _advance_visited(kernel, X, M, steps, seed):
+def _advance_visited(kernel, X, M, steps, seed, **kwargs):
     # Final state and the index tuples from the start through every step.
-    state = inducing.init_sampler(kernel, X, M, seed)
+    K = kernels.gram(kernel, X)
+    state = inducing.init_sampler(K, M, seed)
     visited = [tuple(state.indices)]
     inducing.advance(
-        state, kernel, X, steps, on_state=lambda s: visited.append(tuple(s.indices))
+        state, K, steps, on_state=lambda s: visited.append(tuple(s.indices)), **kwargs
     )
     return state, visited
 
@@ -237,8 +239,43 @@ class TestClosedFormChain:
         reference = _reference_chain(kern, X, M, 2000, seed)
         assert _advance_visited(kern, X, M, 2000, seed)[1] == reference
         assert np.array_equal(
-            inducing.kdpp_mcmc(kern, X, M, 2000, seed), np.sort(reference[-1])
+            inducing.kdpp_mcmc(kernels.gram(kern, X), M, 2000, seed), np.sort(reference[-1])
         )
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["bulk", "on_state"])
+    def test_refactor_checks_keep_reference_index_sets(self, observed, monkeypatch):
+        # Checks every 150 steps, over advance calls that start and end
+        # between checks; each check runs before on_state sees its step.
+        X = np.random.default_rng(3).normal(0, 1, (100, 1))
+        kern = se(ell=0.5)
+        reference = _reference_chain(kern, X, 10, 2000, 3)
+        K = kernels.gram(kern, X)
+        state = inducing.init_sampler(K, 10, 3)
+        events, visited = [], [tuple(state.indices)]
+        factor = chol.factor
+
+        def counted(A):
+            events.append(("check", state.step_count))
+            return factor(A)
+
+        def observe(s):
+            events.append(("state", s.step_count))
+            visited.append(tuple(s.indices))
+
+        monkeypatch.setattr(chol, "factor", counted)
+        for steps in (700, 1, 1299):
+            inducing.advance(
+                state, K, steps, refactor_every=150, on_state=observe if observed else None
+            )
+        checks = [("check", k) for k in range(150, 2001, 150)]
+        assert [e for e in events if e[0] == "check"] == checks
+        assert state.step_count == 2000
+        assert tuple(state.indices) == reference[-1]
+        assert state.accepted == _changes(reference) > 0
+        if observed:
+            assert visited == reference
+            for check in checks:
+                assert events[events.index(check) + 1] == ("state", check[1])
 
     def test_factor_edited_only_on_accepted_swaps(self, monkeypatch):
         edits = {"remove_index": 0, "append_index": 0}
@@ -260,6 +297,65 @@ class TestClosedFormChain:
         state, visited = _advance_visited(se(ell=0.7), X, 5, 2500, 9)
         assert state.accepted == _changes(visited) > 0
         assert state.step_count == 2500
+
+
+def _stream_position(rng):
+    # Everything that decides the next draws (a stale 32-bit half that is
+    # not flagged as buffered is never read).
+    st = rng.bit_generator.state
+    inner = st["state"]
+    return (
+        tuple(inner["counter"].tolist()),
+        tuple(inner["key"].tolist()),
+        tuple(st["buffer"].tolist()),
+        st["buffer_pos"],
+        st["has_uint32"],
+        st["uinteger"] if st["has_uint32"] else None,
+    )
+
+
+def _per_step_draws(rng, M, n_out, steps):
+    return [(int(rng.integers(M)), int(rng.integers(n_out)), rng.random()) for _ in range(steps)]
+
+
+class TestBlockDraws:
+    # Each case is checked against the per-step calls on a twin generator,
+    # and the two generators must then go on with the same draws.
+    @pytest.mark.parametrize(
+        "M, n_out",
+        [(1, 9), (9, 1), (2, 998), (25, 975), (2**31 + 1, 7), (7, 2**31 + 1)],
+    )
+    @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered-half"])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_same_draws_as_per_step_calls(self, M, n_out, buffered, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(inducing, "_DRAW_BLOCK", block)
+        for seed in range(40):
+            rng, twin = inducing._rng(seed), inducing._rng(seed)
+            if buffered:
+                # A 32-bit draw leaves the high half of its word buffered.
+                assert rng.integers(5) == twin.integers(5)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            chunks = list(inducing._draws(rng, M, n_out, 300))
+            got = [
+                (i, j, u) for I, J, U in chunks for i, j, u in zip(I, J, U.tolist())
+            ]
+            assert got == _per_step_draws(twin, M, n_out, 300)
+            assert _stream_position(rng) == _stream_position(twin)
+            after = [rng.integers(M), rng.integers(n_out), rng.random(), rng.integers(3)]
+            assert after == [twin.integers(M), twin.integers(n_out), twin.random(), twin.integers(3)]
+            if max(M, n_out) < 2**31:
+                # No possible rejection in 300 small-range steps at these seeds.
+                assert len(chunks) == math.ceil(300 / (block or inducing._DRAW_BLOCK))
+            else:
+                # About half the draws from 2^31 + 1 may be rejected.
+                assert len(chunks) > 100
+
+    def test_other_generators_draw_per_step(self):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        (I, J, U), = inducing._draws(rng, 25, 975, 50)
+        assert list(zip(I, J, U.tolist())) == _per_step_draws(twin, 25, 975, 50)
+        assert rng.random() == twin.random()
 
 
 class TestMixingSteps:
@@ -316,7 +412,7 @@ class TestEigenvectorFeatures:
         rng = np.random.default_rng(9)
         kern = kernels.matern_half_integer(0, 1.0, [0.5])
         X = rng.normal(0, 1, (20, 1))
-        feats = inducing.eigenvector_features(kern, X, 20)
+        feats = inducing.eigenvector_features(kernels.gram(kern, X), X, 20)
         ops = svgp.feature_operators(feats, kern, X)
         assert svgp.trace_gap(kern, X, ops) <= 1e-8
 
@@ -324,7 +420,7 @@ class TestEigenvectorFeatures:
         rng = np.random.default_rng(10)
         kern = se(ell=0.6)
         X = rng.normal(0, 1, (40, 1))
-        feats = inducing.eigenvector_features(kern, X, 6)
+        feats = inducing.eigenvector_features(kernels.gram(kern, X), X, 6)
         t_feats = svgp.trace_gap(kern, X, svgp.feature_operators(feats, kern, X))
         for trial in range(100):
             Z = X[inducing.uniform_subset(40, 6, trial)]
@@ -335,7 +431,7 @@ class TestEigenvectorFeatures:
         rng = np.random.default_rng(11)
         kern = se(ell=0.7)
         X = rng.normal(0, 1, (25, 1))
-        feats = inducing.eigenvector_features(kern, X, 10)
+        feats = inducing.eigenvector_features(kernels.gram(kern, X), X, 10)
         lam = feats.lambdas
         assert np.all(lam[:-1] >= lam[1:]) and np.all(lam > 0)
 
@@ -359,7 +455,7 @@ class TestEigenfunctionFeatures:
         )
         ops = svgp.feature_operators(feats, kern, X)
         t_fun = svgp.trace_gap(kern, X, ops)
-        vec = inducing.eigenvector_features(kern, X, 18)
+        vec = inducing.eigenvector_features(kernels.gram(kern, X), X, 18)
         t_vec = svgp.trace_gap(kern, X, svgp.feature_operators(vec, kern, X))
         assert abs(t_fun - t_vec) <= 1e-8
 

@@ -97,6 +97,45 @@ class TestGram:
                 expected = k.variance * np.exp(-0.5 * sq)
                 assert np.array_equal(kernels.gram(k, X, X2), expected)
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            kernels.squared_exponential(1.7, [0.7]),
+            kernels.squared_exponential(1.7, [0.7, 1.3]),
+            kernels.matern_half_integer(0, 1.3, [0.6]),
+            kernels.matern_half_integer(1, 1.3, [0.6, 1.1]),
+            kernels.matern_half_integer(2, 1.3, [0.6]),
+            kernels.matern_half_integer(2, 1.3, [0.6, 1.1]),
+        ],
+        ids=["se-1d", "se-2d", "matern12", "matern32-2d", "matern52", "matern52-2d"],
+    )
+    @pytest.mark.parametrize("tile", [None, 80])
+    def test_tiled_rows_equal_whole_array_formula(self, kernel, tile, monkeypatch):
+        # 1000 rows in tiles of 32, or 37 rows in tiles of 2 (square) and
+        # 3 (against 23 columns): each ends in a short tile.
+        if tile is not None:
+            monkeypatch.setattr(kernels, "_GRAM_TILE", tile)
+        rng = np.random.default_rng(4)
+        n = 37 if tile else 1000
+        X = rng.normal(0, 1, (n, kernel.dim))
+        for X2 in (X, rng.normal(0, 1, (23, kernel.dim))):
+            diffs = [
+                (X[:, d, None] - X2[None, :, d]) / ell for d, ell in enumerate(kernel.lengthscales)
+            ]
+            if kernel.family == kernels.SQUARED_EXPONENTIAL:
+                sq = np.zeros((n, X2.shape[0]))
+                for r in diffs:
+                    sq += r * r
+                expected = kernel.variance * np.exp(-0.5 * sq)
+            else:
+                k = kernel.matern_order
+                coeffs = kernels._matern_poly_coeffs(k)
+                expected = np.full((n, X2.shape[0]), kernel.variance)
+                for r in diffs:
+                    s = math.sqrt(2 * k + 1) * np.abs(r)
+                    expected *= np.exp(-s) * np.polynomial.polynomial.polyval(s, coeffs)
+            assert np.array_equal(kernels.gram(kernel, X, X2), expected)
+
     def test_duplicate_rows_rank_deficient(self):
         k = kernels.squared_exponential(1.0, [1.0])
         X = np.array([[0.0], [0.0], [1.0]])

@@ -56,13 +56,13 @@ class TestFeatureOperators:
         rng = np.random.default_rng(1)
         kern = kernels.matern_half_integer(0, 1.0, [0.5])
         X = rng.normal(0, 1, (15, 1))
-        feats = inducing.eigenvector_features(kern, X, 15)
+        feats = inducing.eigenvector_features(kernels.gram(kern, X), X, 15)
         ops = svgp.feature_operators(feats, kern, X)
         assert np.allclose(dense_qff(ops), kernels.gram(kern, X), atol=1e-8)
 
     def test_eigenvector_truncation_matches_dense_eig(self):
         data, kern, _ = make_instance(2, n=30)
-        feats = inducing.eigenvector_features(kern, data.X, 6)
+        feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 6)
         ops = svgp.feature_operators(feats, kern, data.X)
         K = kernels.gram(kern, data.X)
         w, V = np.linalg.eigh(K)
@@ -73,7 +73,7 @@ class TestFeatureOperators:
         # W^T K(anchors, X) at a subset of the anchors equals the matching
         # columns of the diag(lambdas) W^T read off at the anchors.
         data, kern, _ = make_instance(3, n=10)
-        feats = inducing.eigenvector_features(kern, data.X, 3)
+        feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 3)
         at_anchors = svgp.feature_operators(feats, kern, data.X)
         subset = svgp.feature_operators(feats, kern, data.X[:-1])
         assert np.array_equal(subset.Kuu, at_anchors.Kuu)
@@ -148,7 +148,7 @@ class TestTraceGap:
 
     def test_eigenvector_features_give_spectral_tail(self):
         data, kern, _ = make_instance(8, n=40)
-        feats = inducing.eigenvector_features(kern, data.X, 8)
+        feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 8)
         ops = svgp.feature_operators(feats, kern, data.X)
         w = np.linalg.eigvalsh(kernels.gram(kern, data.X))[::-1]
         tail = float(np.sum(w[8:]))
@@ -163,7 +163,7 @@ class TestLambdaMax:
 
     def test_eigenvector_features_give_next_eigenvalue(self):
         data, kern, _ = make_instance(10, n=40)
-        feats = inducing.eigenvector_features(kern, data.X, 7)
+        feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 7)
         ops = svgp.feature_operators(feats, kern, data.X)
         w = np.linalg.eigvalsh(kernels.gram(kern, data.X))[::-1]
         got = svgp.lambda_max_gap(kern, data.X, ops, tol=1e-6)
@@ -242,7 +242,7 @@ class TestUpperBounds:
         # With eigenvector features the largest residual eigenvalue sits
         # well below the full trace, so the refinement must bite.
         data, kern, noise = make_instance(15, n=200)
-        feats = inducing.eigenvector_features(kern, data.X, 5)
+        feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 5)
         ops = svgp.feature_operators(feats, kern, data.X)
         t = svgp.trace_gap(kern, data.X, ops)
         lam = svgp.lambda_max_gap(kern, data.X, ops)
@@ -343,7 +343,7 @@ class TestPredict:
         noise = gp_exact.NoiseModel(0.5)
         X = rng.normal(0, 1, (15, 1))
         y = rng.standard_normal(15)
-        feats = inducing.eigenvector_features(kern, X, 15)
+        feats = inducing.eigenvector_features(kernels.gram(kern, X), X, 15)
         sol = svgp.optimal_q(svgp.feature_operators(feats, kern, X), y, noise)
         X_query = rng.normal(0, 1.5, (7, 1))
         mean, var = svgp.predict(sol, feats, kern, X_query)
@@ -465,7 +465,7 @@ class TestMonotonicity:
     def test_nested_inducing_sets(self):
         data, kern, noise = make_instance(25, n=60)
         lml = gp_exact.log_marginal_likelihood(data, kern, noise)
-        order = inducing.greedy_det_init(kern, data.X, 20)
+        order = inducing.greedy_det_init(kernels.gram(kern, data.X), 20)
         prev_elbo, prev_kl = -np.inf, np.inf
         for m in (2, 5, 10, 20):
             ops = svgp.feature_operators(svgp.Points(data.X[order[:m]]), kern, data.X)
@@ -483,7 +483,7 @@ class TestResidualPSD:
         # within round-off of the mathematically PSD residual.
         for seed in range(5):
             data, kern, _ = make_instance(40 + seed, n=200)
-            Z = data.X[inducing.greedy_det_init(kern, data.X, 12)]
+            Z = data.X[inducing.greedy_det_init(kernels.gram(kern, data.X), 12)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
             resid = kernels.gram(kern, data.X) - dense_qff(ops)
             assert np.linalg.eigvalsh(resid)[0] >= -1e-8 * kern.variance
