@@ -203,13 +203,13 @@ def _reference_chain(kernel, X, M, steps, seed):
     return visited
 
 
-def _advance_visited(kernel, X, M, steps, seed, **kwargs):
+def _advance_visited(kernel, X, M, steps, seed):
     # Final state and the index tuples from the start through every step.
     K = kernels.gram(kernel, X)
     state = inducing.init_sampler(K, M, seed)
     visited = [tuple(state.indices)]
     inducing.advance(
-        state, K, steps, on_state=lambda s: visited.append(tuple(s.indices)), **kwargs
+        state, K, steps, on_state=lambda s: visited.append(tuple(s.indices))
     )
     return state, visited
 
