@@ -1,11 +1,13 @@
 """Dense Cholesky utilities with O(M^2) incremental edits.
 
 Besides plain factorization with an escalating jitter schedule, this module
-provides the three primitives needed to maintain a factor of a principal
-submatrix while single elements are swapped in and out: a rank-one update,
-deletion of a row/column, and appending of a row/column.  Each edit costs
-O(M^2), which is what makes swapping one element of a long Metropolis
-chain's subset cheap; the chain edits its factor only on an accepted swap.
+provides three primitives that edit a factor of a principal submatrix as
+single elements are swapped in and out: a rank-one update, deletion of a
+row/column, and appending of a row/column, each O(M^2).  Acceptance
+criterion 13 and the oracle suite check this edit kit against fresh
+factorizations.  The exchange chain does not use it: it factors each
+accepted swap's submatrix afresh, so its factor carries no rounding
+accumulated over earlier swaps.
 
 Every triangular solve in the library goes through :func:`solve_lower`: one
 direct LAPACK ``dtrtrs`` call, on the memory layout SciPy's own triangular

@@ -71,12 +71,13 @@ def check_expected_trace_bound(n_instances: int) -> OracleCheck:
     for _ in range(n_instances):
         X = rng.normal(0.0, 1.2, (n, 1))
         kern = kernels.squared_exponential(1.0, [float(rng.uniform(0.3, 1.2))])
-        table = inducing.exact_kdpp_enumeration(kern, X, m)
+        K = kernels.gram(kern, X)
+        table = inducing.exact_kdpp_enumeration(K, m)
         expected_t = 0.0
         for subset, prob in table.items():
             ops = svgp.feature_operators(svgp.Points(X[list(subset)]), kern, X)
             expected_t += prob * svgp.trace_gap(kern, X, ops)
-        lam = np.linalg.eigvalsh(kernels.gram(kern, X))[::-1]
+        lam = np.linalg.eigvalsh(K)[::-1]
         bound = bounds.nystrom_trace_bound(float(np.sum(lam[m:])), m, n, 1.0, 0.0)
         worst_gap = max(worst_gap, expected_t - bound)
         if expected_t > bound + 1e-10:
@@ -94,7 +95,7 @@ def check_kdpp_tv(steps: int, tol: float) -> OracleCheck:
     kern = kernels.squared_exponential(1.0, [0.7])
     X = rng.normal(0.0, 1.0, (10, 1))
     K = kernels.gram(kern, X)
-    exact = inducing.exact_kdpp_enumeration_matrix(K, 3)
+    exact = inducing.exact_kdpp_enumeration(K, 3)
     counts: Counter = Counter()
     state = inducing.init_sampler(K, 3, seed=123)
 

@@ -7,8 +7,9 @@ greedy start and the chain read every covariance from that Gram matrix,
 which the caller builds once (a harness cell shares it with its dense
 system), so they make no kernel evaluations of their own.  The chain keeps a
 Cholesky factor of the current submatrix, reads each swap's determinant
-ratio in closed form from two triangular solves against it, and edits the
-factor (an O(M^2) delete/append) only when a swap is accepted.  Its draws
+ratio in closed form from two triangular solves against it, and factors the
+new M x M submatrix afresh when a swap is accepted, so the factor never
+carries the rounding of earlier edits.  Its draws
 are decoded a block of steps at a time from the raw words of the Philox
 stream, bit for bit what one ``integers``/``integers``/``random`` call per
 step returns, so the visited sets are a property of the stream alone.  Also
@@ -36,15 +37,8 @@ from .errors import (
     EnumerationTooLargeError,
     InvalidEpsilonError,
     MTooLargeError,
-    NotPositiveDefiniteError,
-    NumericalInconsistencyError,
     QuadratureTooCoarseError,
 )
-
-# Incremental log-determinants are checked against a fresh factorization
-# this often; drift beyond DRIFT_TOL aborts the chain.
-REFACTOR_PERIOD = 10_000
-DRIFT_TOL = 1e-6
 
 ENUMERATION_LIMIT = 1_000_000
 
@@ -66,10 +60,16 @@ def uniform_subset(N: int, M: int, seed: int) -> np.ndarray:
     return np.sort(_rng(seed).choice(N, size=M, replace=False))
 
 
-def _greedy_selection(
-    K: np.ndarray, M: int, allow_truncation: bool = False
-) -> tuple[list[int], chol.LowerFactor]:
-    """Greedy determinant maximization; returns selection order and K_S factor."""
+def greedy_det_init(K: np.ndarray, M: int, allow_truncation: bool = False) -> np.ndarray:
+    """Greedy max-determinant initialization over the Gram K, in selection order.
+
+    Each step adds the index maximizing the determinant of the resulting
+    principal submatrix (equivalently the largest conditional-variance gain),
+    breaking ties toward the lowest index.  Total cost O(N M^2).  When K
+    has numerical rank below M the default is to raise
+    DegenerateKernelError; ``allow_truncation`` instead returns the shorter
+    selection that exhausted the numerically independent columns.
+    """
     N = K.shape[0]
     if not 1 <= M <= N:
         raise MTooLargeError(f"cannot choose {M} indices from {N}")
@@ -85,42 +85,36 @@ def _greedy_selection(
         gain = float(masked[best])
         if gain <= chol.PIVOT_FLOOR * diag[best]:
             if allow_truncation and step > 0:
-                C = C[:step]
                 break
             raise DegenerateKernelError(
                 f"only {step} independent columns available, {M} requested"
             )
-        col = K[:, best]
-        if step:
-            c_new = (col - C[:step].T @ C[:step, best]) / math.sqrt(gain)
-        else:
-            c_new = col / math.sqrt(gain)
-        C[step] = c_new
-        resid -= c_new * c_new
+        C[step] = (K[:, best] - C[:step].T @ C[:step, best]) / math.sqrt(gain)
+        resid -= C[step] * C[step]
         chosen.append(best)
-    L = np.tril(C[:, chosen].T)
-    return chosen, chol.LowerFactor(L, 0.0)
-
-
-def greedy_det_init(K: np.ndarray, M: int, allow_truncation: bool = False) -> np.ndarray:
-    """Greedy max-determinant initialization over the Gram K, in selection order.
-
-    Each step adds the index maximizing the determinant of the resulting
-    principal submatrix (equivalently the largest conditional-variance gain),
-    breaking ties toward the lowest index.  Total cost O(N M^2).  When K
-    has numerical rank below M the default is to raise
-    DegenerateKernelError; ``allow_truncation`` instead returns the shorter
-    selection that exhausted the numerically independent columns.
-    """
-    chosen, _ = _greedy_selection(K, M, allow_truncation)
     return np.asarray(chosen)
+
+
+def _subset_factor(K: np.ndarray, T) -> chol.LowerFactor | None:
+    # Fresh Cholesky factor of K[T, T], with no jitter; None when LAPACK
+    # fails or the last pivot is at chol.append_index's rejection floor.
+    T = np.asarray(T)
+    try:
+        L = np.linalg.cholesky(K[T[:, None], T])
+    except np.linalg.LinAlgError:
+        return None
+    if L[-1, -1] ** 2 <= chol.PIVOT_FLOOR * K[T[-1], T[-1]]:
+        return None
+    return chol.LowerFactor(L)
 
 
 @dataclass
 class SamplerState:
     """Mutable state of the exchange chain: subset, factor and determinant.
 
-    ``step_count`` counts transitions run and ``accepted`` the swaps taken.
+    ``factor`` is the Cholesky factor of ``K[S, S]`` in the order of
+    ``indices``.  ``step_count`` counts transitions run and ``accepted`` the
+    swaps taken.
     """
 
     indices: list[int]
@@ -136,11 +130,14 @@ def init_sampler(
     K: np.ndarray, M: int, seed: int, allow_truncation: bool = False
 ) -> SamplerState:
     """Greedy-initialized chain state over the rows of the Gram K."""
-    chosen, f = _greedy_selection(K, M, allow_truncation)
+    chosen = greedy_det_init(K, M, allow_truncation).tolist()
+    f = _subset_factor(K, chosen)
+    if f is None:
+        raise DegenerateKernelError("the greedy set's Gram submatrix is not positive definite")
     in_set = np.zeros(K.shape[0], dtype=bool)
     in_set[chosen] = True
     return SamplerState(
-        indices=list(chosen),
+        indices=chosen,
         factor=f,
         log_det=chol.log_det(f),
         rng=_rng(seed),
@@ -152,23 +149,6 @@ def _inverse_diagonal(f: chol.LowerFactor) -> np.ndarray:
     # diag(K_S^-1): the squared column norms of L^-1.
     L_inv = chol.solve_lower(f.L, np.eye(f.dim))
     return np.einsum("ij,ij->j", L_inv, L_inv)
-
-
-def _swapped_factor(
-    f: chol.LowerFactor, pos_i: int, k_Sj: np.ndarray | None, k_self: float
-) -> chol.LowerFactor | None:
-    # Factor of K_T, T = S - {member pos_i} + {j}, by a delete/append edit;
-    # None when the extension is numerically not positive definite.
-    if f.dim > 1:
-        f_minus = chol.remove_index(f, pos_i)
-        k_cross = np.concatenate((k_Sj[:pos_i], k_Sj[pos_i + 1 :]))
-    else:
-        f_minus = chol.LowerFactor(np.zeros((0, 0)), f.jitter_used)
-        k_cross = np.zeros(0)
-    try:
-        return chol.append_index(f_minus, k_cross, k_self)
-    except NotPositiveDefiniteError:
-        return None
 
 
 # Steps whose draws are decoded from one raw-word call.
@@ -249,13 +229,7 @@ def _draws(rng: np.random.Generator, M: int, n_out: int, steps: int):
         yield pos_i, pos_j, u
 
 
-def advance(
-    state: SamplerState,
-    K: np.ndarray,
-    steps: int,
-    refactor_every: int = REFACTOR_PERIOD,
-    on_state=None,
-) -> SamplerState:
+def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> SamplerState:
     """Run `steps` transitions of the lazy exchange chain on the Gram K, mutating `state`.
 
     Each transition draws a member position i (``integers(M)``), an
@@ -271,11 +245,10 @@ def advance(
     and ``w = L^-T c``, det(K_T)/det(K_S) = d_j (K_S^-1)_ii + w_i^2.  A
     proposal whose residual pivot ``d(j | S-i) = ratio / (K_S^-1)_ii`` is at
     or below ``chol.PIVOT_FLOOR * K[j, j]`` has ratio 0 and is rejected.
-    The factor is edited only on an accepted swap, by ``chol.remove_index``
-    then ``chol.append_index``; an extension that is not positive definite
-    rejects the swap.  ``state.accepted`` counts accepted swaps.  Every
-    ``refactor_every`` steps the factor is rebuilt from ``K[S, S]`` and the
-    incremental log-determinant checked against it, before ``on_state``.
+    An accepted swap factors ``K[T, T]``, T = S - i + [j], afresh (one M x M
+    Cholesky), so ``state.factor`` is always the factor of the current
+    submatrix; a factor that fails or whose last pivot is at the floor
+    rejects the swap.  ``state.accepted`` counts accepted swaps.
     """
     M = len(state.indices)
     n_out = state.complement.shape[0]
@@ -286,64 +259,34 @@ def advance(
         nonlocal inv_diag, S
         j = int(state.complement[pos_j])
         k_jj = K.item(j, j)
-        if M > 1:
-            L = state.factor.L
-            k_Sj = K[S, j]
-            c = chol.solve_lower(L, k_Sj)
-            w = chol.solve_lower(L, c, transpose=True)
-            ratio = (k_jj - float(c @ c)) * inv_diag[pos_i] + w[pos_i] ** 2
-            if ratio / inv_diag[pos_i] <= chol.PIVOT_FLOOR * k_jj:
-                ratio = 0.0
-        else:
-            # S - i is empty: det(K_T) = k_jj, above the floor for k_jj > 0.
-            k_Sj, ratio = None, k_jj * inv_diag[0]
-        f_T = None
-        if u < 0.5 * min(1.0, ratio):
-            f_T = _swapped_factor(state.factor, pos_i, k_Sj, k_jj)
-        if f_T is not None:
-            i = state.indices.pop(pos_i)
-            state.indices.append(j)
-            state.complement[pos_j] = i
-            state.factor = f_T
-            state.log_det = chol.log_det(f_T)
-            state.accepted += 1
-            S = np.array(state.indices)
-            inv_diag = _inverse_diagonal(f_T)
-
-    def refactor_if_due() -> None:
-        nonlocal inv_diag
-        if not refactor_every or state.step_count % refactor_every:
+        L = state.factor.L
+        c = chol.solve_lower(L, K[S, j])
+        w = chol.solve_lower(L, c, transpose=True)
+        ratio = (k_jj - float(c @ c)) * inv_diag[pos_i] + w[pos_i] ** 2
+        if ratio / inv_diag[pos_i] <= chol.PIVOT_FLOOR * k_jj or u >= 0.5 * min(1.0, ratio):
             return
-        fresh = chol.factor(K[np.ix_(S, S)])
-        fresh_log_det = chol.log_det(fresh)
-        if abs(fresh_log_det - state.log_det) > DRIFT_TOL:
-            raise NumericalInconsistencyError(
-                f"incremental log-det drifted by "
-                f"{abs(fresh_log_det - state.log_det):.3e}"
-            )
-        state.factor = fresh
-        state.log_det = fresh_log_det
-        inv_diag = _inverse_diagonal(fresh)
+        f_T = _subset_factor(K, state.indices[:pos_i] + state.indices[pos_i + 1 :] + [j])
+        if f_T is None:
+            return
+        state.complement[pos_j] = state.indices.pop(pos_i)
+        state.indices.append(j)
+        state.factor = f_T
+        state.log_det = chol.log_det(f_T)
+        state.accepted += 1
+        S = np.array(state.indices)
+        inv_diag = _inverse_diagonal(f_T)
 
-    while steps > 0:
-        # A segment ends at the next refactor check or at the last step.
-        segment = steps
-        if refactor_every:
-            segment = min(steps, refactor_every - state.step_count % refactor_every)
-        steps -= segment
-        for pos_i, pos_j, u in _draws(state.rng, M, n_out, segment):
-            if on_state is None:
-                for k in np.flatnonzero(u < 0.5).tolist():
-                    propose(pos_i[k], pos_j[k], float(u[k]))
-                state.step_count += len(pos_i)
-                refactor_if_due()
-                continue
-            for i, j, v in zip(pos_i, pos_j, u.tolist()):
-                if v < 0.5:
-                    propose(i, j, v)
-                state.step_count += 1
-                refactor_if_due()
-                on_state(state)
+    for pos_i, pos_j, u in _draws(state.rng, M, n_out, steps):
+        if on_state is None:
+            for k in np.flatnonzero(u < 0.5).tolist():
+                propose(pos_i[k], pos_j[k], float(u[k]))
+            state.step_count += len(pos_i)
+            continue
+        for i, j, v in zip(pos_i, pos_j, u.tolist()):
+            if v < 0.5:
+                propose(i, j, v)
+            state.step_count += 1
+            on_state(state)
     return state
 
 
@@ -376,8 +319,8 @@ def mixing_steps(N: int, M: int, epsilon: float) -> int:
     return math.ceil(N * M * M * math.log(N) + N * M * math.log(1.0 / epsilon))
 
 
-def exact_kdpp_enumeration_matrix(K: np.ndarray, M: int) -> dict[tuple[int, ...], float]:
-    """Exact subset probabilities P(S) proportional to det(K[S, S])."""
+def exact_kdpp_enumeration(K: np.ndarray, M: int) -> dict[tuple[int, ...], float]:
+    """Exact k-DPP over the Gram K: P(S) proportional to det(K[S, S]), |S| = M."""
     K = np.asarray(K, dtype=float)
     N = K.shape[0]
     if not 1 <= M <= N:
@@ -395,13 +338,6 @@ def exact_kdpp_enumeration_matrix(K: np.ndarray, M: int) -> dict[tuple[int, ...]
     if total <= 0.0:
         raise DegenerateKernelError("all size-M principal minors vanish")
     return {s: d / total for s, d in table.items()}
-
-
-def exact_kdpp_enumeration(
-    kernel: kernels.KernelSpec, X, M: int
-) -> dict[tuple[int, ...], float]:
-    """Exact k-DPP probability table over all C(N, M) subsets of the rows of X."""
-    return exact_kdpp_enumeration_matrix(kernels.gram(kernel, _as_2d(X)), M)
 
 
 def eigenvector_features(K: np.ndarray, X, M: int) -> svgp.EigenvectorFeatures:
