@@ -37,9 +37,7 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = kernels.as_points(self.X)
         y = np.asarray(self.y, dtype=float).ravel()
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
@@ -78,8 +76,10 @@ class DenseSystem:
         """Factor ``K + noise*I`` for a built Gram K, which the system keeps."""
         k_diag = K.diagonal().copy()
         np.fill_diagonal(K, k_diag + noise.variance)
-        noisy = chol.factor(K)
-        np.fill_diagonal(K, k_diag)  # the factor does not alias K; no second N x N array
+        try:
+            noisy = chol.factor(K)
+        finally:
+            np.fill_diagonal(K, k_diag)  # the factor does not alias K; no second N x N array
         return cls(K, noisy)
 
     def log_marginal_likelihood(self, y) -> float:
@@ -113,9 +113,7 @@ def posterior(
     data: Dataset, kernel: kernels.KernelSpec, noise: NoiseModel, X_query
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean vector and full covariance matrix at the query points."""
-    X_query = np.asarray(X_query, dtype=float)
-    if X_query.ndim == 1:
-        X_query = X_query[:, None]
+    X_query = kernels.as_points(X_query)
     L = dense_system(data.X, kernel, noise).noisy.L
     Ks = kernels.gram(kernel, data.X, X_query)
     V = chol.solve_lower(L, Ks)

@@ -65,11 +65,6 @@ def _load_experiments(args) -> list:
     return cfgs
 
 
-def _out_path(out_dir: str, filename: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, filename)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "oracle-suite":
@@ -80,35 +75,30 @@ def main(argv=None) -> int:
             print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
         return 0 if all(c.passed for c in checks) else 1
 
-    try:
-        cfgs = _load_experiments(args)
-    except (SparseGPError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     any_violation = False
     try:
+        cfgs = _load_experiments(args)
+        os.makedirs(args.out_dir, exist_ok=True)
         for cfg in cfgs:
+            csv_path = os.path.join(args.out_dir, cfg.out_csv or f"{cfg.name}.csv")
             if args.command == "dispersion":
                 lines, nn = runners.run_dispersion_demo(cfg)
-                path = _out_path(args.out_dir, cfg.out_csv or f"{cfg.name}.csv")
-                emit_selection_csv(lines, path)
+                emit_selection_csv(lines, csv_path)
                 for label, dist in sorted(nn.items()):
                     print(f"{cfg.name}: mean nearest-neighbour distance {label}: {dist:.4f}")
-                print(f"{cfg.name}: wrote {path}")
+                print(f"{cfg.name}: wrote {csv_path}")
                 continue
             rows = runners.run_grid(cfg)
-            csv_path = _out_path(args.out_dir, cfg.out_csv or f"{cfg.name}.csv")
             emit_csv(rows, csv_path)
             if cfg.out_svg:
-                emit_svg(rows, _PLOTS[args.command], _out_path(args.out_dir, cfg.out_svg))
+                emit_svg(rows, _PLOTS[args.command], os.path.join(args.out_dir, cfg.out_svg))
             flagged = [r for r in rows if r.violation]
             any_violation = any_violation or bool(flagged)
             print(
                 f"{cfg.name}: {len(rows)} rows -> {csv_path}"
                 + (f" ({len(flagged)} flagged rows)" if flagged else "")
             )
-    except SparseGPError as exc:
+    except (SparseGPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if any_violation else 0

@@ -250,8 +250,11 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
 
 
 def parse_config(path: str) -> list[ExperimentConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8: {exc}") from None
 
 
 # Built-in experiment definitions used when no --config is given.  The

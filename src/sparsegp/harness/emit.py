@@ -71,6 +71,10 @@ def parse_csv(path: str) -> list[ResultRow]:
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         for record in reader:
+            if len(record) != len(CSV_COLUMNS):
+                raise ValueError(
+                    f"line {reader.line_num}: {len(record)} cells, expected {len(CSV_COLUMNS)}"
+                )
             values = {}
             for col, cell in zip(CSV_COLUMNS, record):
                 if col in _STR_COLUMNS:

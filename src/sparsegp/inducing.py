@@ -48,11 +48,6 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stream)))))
 
 
-def _as_2d(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return X[:, None] if X.ndim == 1 else X
-
-
 def uniform_subset(N: int, M: int, seed: int) -> np.ndarray:
     """Uniform size-M subset of range(N) without replacement, sorted."""
     if not 1 <= M <= N:
@@ -342,7 +337,7 @@ def exact_kdpp_enumeration(K: np.ndarray, M: int) -> dict[tuple[int, ...], float
 
 def eigenvector_features(K: np.ndarray, X, M: int) -> svgp.EigenvectorFeatures:
     """Top-M eigenpairs of the training Gram matrix K of X as interdomain features."""
-    X = _as_2d(X)
+    X = kernels.as_points(X)
     if not 1 <= M <= X.shape[0]:
         raise MTooLargeError(f"cannot extract {M} eigenpairs from N={X.shape[0]}")
     try:

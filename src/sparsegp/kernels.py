@@ -32,6 +32,12 @@ SQUARED_EXPONENTIAL = "squared-exponential"
 MATERN = "matern-half-integer"
 
 
+def as_points(X) -> np.ndarray:
+    """X as a float array of points, one per row; a 1-D array is one column."""
+    X = np.asarray(X, dtype=float)
+    return X[:, None] if X.ndim == 1 else X
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Stationary kernel: family, signal variance and per-dimension lengthscales.
@@ -122,9 +128,7 @@ class EmpiricalDensity:
     sample: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.sample, dtype=float)
-        if s.ndim == 1:
-            s = s[:, None]
+        s = as_points(self.sample)
         object.__setattr__(self, "sample", s)
         if s.shape[0] == 0:
             raise InvalidHyperparameterError("empirical sample must be nonempty")
@@ -155,9 +159,7 @@ def _matern_poly_coeffs(k: int) -> np.ndarray:
 
 
 def _check_dims(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_points(X)
     if X.shape[1] != kernel.dim:
         raise DimensionMismatchError(
             f"points have dimension {X.shape[1]}, kernel expects {kernel.dim}"

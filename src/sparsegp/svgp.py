@@ -43,9 +43,7 @@ class Points:
     Z: np.ndarray
 
     def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=float)
-        if Z.ndim == 1:
-            Z = Z[:, None]
+        Z = kernels.as_points(self.Z)
         object.__setattr__(self, "Z", Z)
         if Z.shape[0] != np.unique(Z, axis=0).shape[0]:
             raise DuplicateInducingPointError("inducing inputs contain duplicate rows")
@@ -56,8 +54,6 @@ class Points:
 
     def covariances(self, kernel, X) -> tuple[np.ndarray, np.ndarray]:
         """Kuu = K(Z, Z) and Kux = K(Z, X)."""
-        if self.Z.shape[1] != X.shape[1]:
-            raise DimensionMismatchError("inducing points and data dimension differ")
         return kernels.gram(kernel, self.Z), kernels.gram(kernel, self.Z, X)
 
 
@@ -76,9 +72,7 @@ class EigenvectorFeatures:
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float).ravel()
         W = np.asarray(self.W, dtype=float)
-        anchors = np.asarray(self.anchors, dtype=float)
-        if anchors.ndim == 1:
-            anchors = anchors[:, None]
+        anchors = kernels.as_points(self.anchors)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "anchors", anchors)
@@ -201,9 +195,7 @@ def feature_operators(
     X may be the training inputs or query points; spectral families give a
     diagonal Kuu.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = kernels.as_points(X)
     Kuu, Kux = inducing.covariances(kernel, X)
     return FeatureOperators(Kuu, Kux, kernels.gram_diag(kernel, X))
 

@@ -8,12 +8,15 @@ reproductions run the same harness configurations the CLI ships with.
 import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsegp import bounds, chol, gp_exact, inducing, kernels, svgp
 from sparsegp.harness import config, oracle_suite, runners
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -257,24 +260,7 @@ def test_criterion_9_thm4_probability_statement():
 
 def test_criterion_10_log_schedule_decay():
     start = time.perf_counter()
-    text = """
-[experiment:fig4]
-kind = log-schedule
-kernel = se
-variance = 1.0
-lengthscale = 0.4
-density = uniform
-density_lower = 0.0
-density_upper = 5.0
-noise_variance = 0.1
-n_grid = 250 500 1000 2000 4000
-m_rule = log
-m_coeff = 2.8
-method = points-kdpp
-chain_steps = 1500
-seeds = 0:20
-"""
-    cfg = config.parse_config_text(text)[0]
+    cfg = config.parse_config(str(CONFIGS / "fig4.cfg"))[0]
     rows = runners.run_grid(cfg)
     medians = [
         float(np.median([r.kl_exact for r in rows if r.n == n])) for n in cfg.n_grid
@@ -291,24 +277,7 @@ seeds = 0:20
 
 
 def test_criterion_11_fixed_m_growth():
-    text = """
-[experiment:fig1]
-kind = fixed-m
-kernel = se
-variance = 1.0
-lengthscale = 0.4
-density = uniform
-density_lower = 0.0
-density_upper = 5.0
-noise_variance = 0.1
-n_grid = 100 250 500 1000 2000
-m_rule = fixed
-m = 15
-method = points-kdpp
-chain_steps = 2000
-seeds = 0:20
-"""
-    cfg = config.parse_config_text(text)[0]
+    cfg = config.parse_config(str(CONFIGS / "fig1.cfg"))[0]
     rows = runners.run_grid(cfg)
     kl_med = [float(np.median([r.kl_exact for r in rows if r.n == n])) for n in cfg.n_grid]
     lo_med = [float(np.median([r.lemma2_lo for r in rows if r.n == n])) for n in cfg.n_grid]

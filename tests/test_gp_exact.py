@@ -7,6 +7,7 @@ import pytest
 
 from sparsegp import gp_exact, kernels
 from sparsegp.errors import (
+    AsymmetricInputError,
     DenseLimitExceededError,
     DimensionMismatchError,
     InvalidHyperparameterError,
@@ -55,6 +56,13 @@ class TestDenseSystem:
         assert gp_exact.dense_system(X[:3], make_kernel(), noise).K.shape == (3, 3)
         with pytest.raises(DenseLimitExceededError):
             gp_exact.dense_system(X, make_kernel(), noise)
+
+    def test_failed_factor_restores_the_gram(self):
+        K = np.array([[1.0, 0.5], [0.2, 1.0]])
+        before = K.copy()
+        with pytest.raises(AsymmetricInputError):
+            gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
+        assert K.tobytes() == before.tobytes()
 
 
 class TestLogMarginalLikelihood:

@@ -316,6 +316,18 @@ class TestCsvEmission:
         emit.emit_csv(rows, str(path))
         assert emit.parse_csv(str(path))[0].thm1 is None
 
+    @pytest.mark.parametrize(
+        "edit", [lambda cells: cells + ["1"], lambda cells: cells[:-1]], ids=["long", "short"]
+    )
+    def test_record_of_wrong_length_rejected(self, tmp_path, edit):
+        path = tmp_path / "rows.csv"
+        emit.emit_csv(self._rows()[:2], str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            emit.parse_csv(str(path))
+
     def test_every_report_field_is_a_column(self):
         # Rows are built from the report's fields by name.
         missing = {f.name for f in fields(svgp.BoundReport)} - set(emit.CSV_COLUMNS)
@@ -664,6 +676,25 @@ class TestCli:
         cfg_path.write_text(_with_line(SMOKE_CONFIG, line))
         assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_undecodable_config_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"\xff\xfe" + SMOKE_CONFIG.encode("utf-16-le"))
+        res = self._run("fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+    def test_out_dir_naming_a_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        def refuse_grid(cfg):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(runners, "run_grid", refuse_grid)
+        cfg_path = tmp_path / "smoke.cfg"
+        cfg_path.write_text(SMOKE_CONFIG)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_percent_escape_read_once(self, tmp_path):
         cfg_path = tmp_path / "pct.cfg"

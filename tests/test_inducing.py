@@ -9,6 +9,7 @@ import pytest
 from sparsegp import chol, inducing, kernels, svgp
 from sparsegp.errors import (
     DegenerateKernelError,
+    EigenFailureError,
     EnumerationTooLargeError,
     InvalidEpsilonError,
     MTooLargeError,
@@ -453,6 +454,10 @@ class TestEigenvectorFeatures:
         feats = inducing.eigenvector_features(kernels.gram(kern, X), X, 10)
         lam = feats.lambdas
         assert np.all(lam[:-1] >= lam[1:]) and np.all(lam > 0)
+
+    def test_rank_below_m_raises(self):
+        with pytest.raises(EigenFailureError, match="nonpositive"):
+            inducing.eigenvector_features(np.zeros((3, 3)), np.zeros((3, 1)), 2)
 
 
 class TestEigenfunctionFeatures:

@@ -54,6 +54,11 @@ class TestEval:
         with pytest.raises(DimensionMismatchError):
             _cov(k, [0.0], [0.0])
 
+    def test_as_points_reads_a_vector_as_one_column(self):
+        pts = kernels.as_points([1, 2, 3])
+        assert pts.dtype == float and pts.tolist() == [[1.0], [2.0], [3.0]]
+        assert kernels.as_points(np.zeros((3, 2))).shape == (3, 2)
+
     def test_invalid_hyperparameters(self):
         with pytest.raises(InvalidHyperparameterError):
             kernels.squared_exponential(-1.0, [1.0])

@@ -17,6 +17,7 @@ from sparsegp.errors import (
     DimensionMismatchError,
     DuplicateInducingPointError,
     NegativeVarianceError,
+    NumericalInconsistencyError,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -45,6 +46,11 @@ class TestFeatureOperators:
         K = kernels.gram(kern, data.X)
         assert np.allclose(ops.Kuu, K, atol=1e-14)
         assert np.allclose(ops.Kuf, K, atol=1e-14)
+
+    def test_points_of_another_width_rejected(self):
+        data, kern, _ = make_instance(0, n=12)
+        with pytest.raises(DimensionMismatchError, match="dimension 2"):
+            svgp.feature_operators(svgp.Points(np.arange(6.0).reshape(3, 2)), kern, data.X)
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicateInducingPointError):
@@ -154,6 +160,10 @@ class TestTraceGap:
         tail = float(np.sum(w[8:]))
         assert svgp.trace_gap(kern, data.X, ops) == pytest.approx(tail, rel=1e-8)
 
+    def test_negative_gap_raises(self):
+        with pytest.raises(NumericalInconsistencyError, match="trace gap"):
+            svgp._trace_gap_from(np.ones(4), 2 * np.eye(4))
+
 
 class TestLambdaMax:
     def test_zero_for_full_set(self):
@@ -185,6 +195,10 @@ class TestLambdaMax:
             t = svgp.trace_gap(kern, data.X, ops)
             lam = svgp.lambda_max_gap(kern, data.X, ops)
             assert 0.0 <= lam <= t * (1 + 1e-8)
+
+    def test_estimate_above_trace_gap_raises(self):
+        with pytest.raises(NumericalInconsistencyError, match="exceeds trace gap"):
+            svgp._lambda_max_from(np.eye(5), np.zeros((1, 5)), 0.5, 1.0)
 
 
 class TestUpperBounds:
@@ -380,6 +394,10 @@ class TestKLExact:
         ops = svgp.feature_operators(svgp.Points(data.X[:3]), kern, data.X)
         with pytest.raises(DenseLimitExceededError):
             svgp.kl_exact(data, kern, noise, ops)
+
+    def test_negative_kl_raises(self):
+        with pytest.raises(NumericalInconsistencyError, match="negative KL"):
+            svgp._kl_from(0.0, 1.0)
 
     def test_joint_gaussian_construction_oracle(self):
         # Build q(u, f_X) and p(u, f_X | y) explicitly as (M+N)-dimensional
