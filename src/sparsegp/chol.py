@@ -1,5 +1,12 @@
 """Dense Cholesky utilities with O(M^2) incremental edits.
 
+:func:`factor` checks its input in one tiled pass over A (symmetry, scale and
+finiteness: a NaN or an infinity raises) and hands LAPACK A in column-major
+order, so numpy's copy into its work buffer is contiguous.  For a C-ordered
+A that is the transpose view, whose lower triangle LAPACK reads: A's upper
+triangle, equal to the lower one for the library's exactly symmetric Grams
+and within the symmetry check's tolerance of it otherwise.
+
 Besides plain factorization with an escalating jitter schedule, this module
 provides three primitives that edit a factor of a principal submatrix as
 single elements are swapped in and out: a rank-one update, deletion of a
@@ -70,14 +77,22 @@ def factor(A: np.ndarray) -> LowerFactor:
     """Factor a symmetric PSD matrix, escalating through a jitter schedule.
 
     The amounts added to the diagonal, tried in order, are
-    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.
+    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.  LAPACK is handed
+    A in column-major order, so numpy copies it into its work buffer without
+    a strided gather: a C-ordered A goes in as its transpose view, and LAPACK
+    reads A's upper triangle.  For an exactly symmetric A, such as every Gram
+    :func:`sparsegp.kernels.gram` returns, that is the lower triangle and L
+    is bit for bit ``np.linalg.cholesky(A)``; otherwise the symmetry check
+    bounds the difference.  A jittered attempt factors one column-major copy
+    of A whose diagonal is rewritten for each level, so beside A the factor
+    holds at most that copy, numpy's work buffer and L.
 
     Raises
     ------
+    NotFactorizableError
+        If A holds a NaN or an infinity, or if every jitter level fails.
     AsymmetricInputError
         If ``max|A - A.T| > 1e-10 * max|A|``.
-    NotFactorizableError
-        If every jitter level fails.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -85,14 +100,23 @@ def factor(A: np.ndarray) -> LowerFactor:
     m = A.shape[0]
     if m == 0:
         return LowerFactor(np.zeros((0, 0)), 0.0)
-    scale = max(A.max(), -A.min())
-    if _max_asymmetry(A) > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
+    asymmetry, scale = _max_asymmetry(A)
+    if not np.isfinite(scale):
+        raise NotFactorizableError("input matrix has a non-finite entry")
+    if asymmetry > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
         raise AsymmetricInputError("input matrix is not symmetric within tolerance")
-    mean_diag = float(np.mean(np.diag(A)))
+    column_major = A.T if A.flags.c_contiguous else A
+    diag = A.diagonal()
+    mean_diag = float(np.mean(diag))
+    jittered = None
     for level in DEFAULT_JITTER_LEVELS:
         jitter = level * mean_diag
+        if jitter:
+            if jittered is None:
+                jittered = np.array(column_major, order="F")
+            np.fill_diagonal(jittered, diag + jitter)
         try:
-            L = np.linalg.cholesky(A + jitter * np.eye(m) if jitter else A)
+            L = np.linalg.cholesky(jittered if jitter else column_major)
         except np.linalg.LinAlgError:
             continue
         return LowerFactor(L, float(jitter))
@@ -101,26 +125,31 @@ def factor(A: np.ndarray) -> LowerFactor:
     )
 
 
-def _max_asymmetry(A: np.ndarray) -> float:
-    """``max|A - A.T|``, read tile by tile over the upper triangle.
+def _max_asymmetry(A: np.ndarray) -> tuple[float, float]:
+    """``(max|A - A.T|, max|A|)``, read tile by tile over the upper triangle.
 
     Entry (r, c) of ``A - A.T`` is exactly minus entry (c, r), so the upper
-    tiles hold every value.  One tile-sized buffer is reused, so no N x N
-    temporary is made; a NaN anywhere gives NaN, as the one-pass form does.
+    tiles hold every value of the difference; each upper tile and its mirror
+    are read together, so the two maxima come from one pass over A.  One
+    tile-sized buffer is reused, so no N x N temporary is made; a NaN
+    anywhere gives NaN in both, as the one-pass forms do.
     """
     m = A.shape[0]
     tile = _SYMMETRY_TILE
-    if m <= tile:
-        return np.max(np.abs(A - A.T))
-    buf = np.empty((tile, tile))
-    worst = 0.0
-    for i in range(0, m, tile):
-        for j in range(i, m, tile):
-            upper = A[i : i + tile, j : j + tile]
-            out = buf[: upper.shape[0], : upper.shape[1]]
-            np.subtract(upper, A[j : j + tile, i : i + tile].T, out=out)
-            worst = np.maximum(worst, np.max(np.abs(out, out=out)))
-    return worst
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the caller rejects
+        if m <= tile:
+            return np.max(np.abs(A - A.T)), np.max(np.abs(A))
+        buf = np.empty((tile, tile))
+        worst = peak = 0.0
+        for i in range(0, m, tile):
+            for j in range(i, m, tile):
+                upper = A[i : i + tile, j : j + tile]
+                mirror = A[j : j + tile, i : i + tile]
+                peak = np.max([peak, upper.max(), -upper.min(), mirror.max(), -mirror.min()])
+                out = buf[: upper.shape[0], : upper.shape[1]]
+                np.subtract(upper, mirror.T, out=out)
+                worst = np.maximum(worst, np.max(np.abs(out, out=out)))
+    return worst, peak
 
 
 def solve_lower(L: np.ndarray, b, transpose: bool = False) -> np.ndarray:

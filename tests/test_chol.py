@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from sparsegp import chol
+from sparsegp import chol, kernels
 from sparsegp.errors import (
     AsymmetricInputError,
     DimensionMismatchError,
@@ -78,16 +78,22 @@ class TestSymmetryCheck:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_equals_one_pass_max(self, n):
         a = np.random.default_rng(n).standard_normal((n, n))
-        assert chol._max_asymmetry(a) == np.max(np.abs(a - a.T))
+        asymmetry, peak = chol._max_asymmetry(a)
+        assert asymmetry == np.max(np.abs(a - a.T))
+        assert peak == np.max(np.abs(a))
         sym = a + a.T
-        assert chol._max_asymmetry(sym) == np.max(np.abs(sym - sym.T)) == 0.0
+        asymmetry, peak = chol._max_asymmetry(sym)
+        assert asymmetry == np.max(np.abs(sym - sym.T)) == 0.0
+        assert peak == np.max(np.abs(sym))
 
     @pytest.mark.parametrize("n", [1, 255, 257, 600])
     def test_nan_propagates(self, n):
         a = random_spd(np.random.default_rng(n), n)
         a[n - 1, n // 3] = np.nan
         assert np.isnan(np.max(np.abs(a - a.T)))
-        assert np.isnan(chol._max_asymmetry(a))
+        asymmetry, peak = chol._max_asymmetry(a)
+        assert np.isnan(asymmetry)
+        assert np.isnan(peak)
 
     @pytest.mark.parametrize("entry", [(598, 590), (10, 590), (590, 10)])
     def test_asymmetry_in_last_partial_tile_rejected(self, entry):
@@ -106,6 +112,99 @@ class TestSymmetryCheck:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * a.nbytes
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("n", [2, 300, 600])
+    @pytest.mark.parametrize("where", ["upper", "mirror", "both"])
+    def test_nan_in_last_partial_tile_raises(self, n, where):
+        # At n = 300 and 600 the last tile row and column start at 256 and 512.
+        a = random_spd(np.random.default_rng(n), n)
+        if where in ("upper", "both"):
+            a[n - 2, n - 1] = np.nan
+        if where in ("mirror", "both"):
+            a[n - 1, n - 2] = np.nan
+        with pytest.raises(NotFactorizableError):
+            chol.factor(a)
+
+    @pytest.mark.parametrize("n", [2, 300, 600])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_diagonal_raises(self, n, value):
+        a = random_spd(np.random.default_rng(n), n)
+        a[n - 1, n - 1] = value
+        with pytest.raises(NotFactorizableError):
+            chol.factor(a)
+
+
+def _exact_gram(n, noise=0.1):
+    # kernels.gram returns an exactly symmetric matrix.
+    X = np.random.default_rng(n).normal(size=(n, 1))
+    K = kernels.gram(kernels.squared_exponential(1.0, [0.5]), X)
+    K[np.diag_indices(n)] += noise
+    return K
+
+
+def _rank_deficient_gram(n, shift=0.0):
+    # Five distinct points, each repeated: rank 5, exactly symmetric.  A
+    # shift lowers the zero eigenvalues to -shift, below the first jitter.
+    X = np.repeat(np.linspace(-1.0, 1.0, 5), -(-n // 5))[:n, None]
+    K = kernels.gram(kernels.squared_exponential(1.0, [0.5]), X)
+    K[np.diag_indices(n)] -= shift
+    return K
+
+
+class TestFactorLayout:
+    """LAPACK gets A in column-major order, with the same factor as before."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 257, 600, 2000])
+    def test_bit_equal_to_numpy_on_exact_grams(self, n, order):
+        K = _exact_gram(n)
+        assert np.array_equal(K, K.T)
+        f = chol.factor(np.asarray(K, order=order))
+        assert f.jitter_used == 0.0
+        assert np.array_equal(f.L, np.linalg.cholesky(K))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shift", [0.0, 5e-9])
+    def test_lapack_sees_one_column_major_array(self, monkeypatch, order, shift):
+        # A C-ordered argument would make numpy gather it into its work
+        # buffer element by element; the jitter attempts share one copy.
+        seen = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            seen.append((a.flags.f_contiguous, a.__array_interface__["data"][0]))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        a = np.asarray(_rank_deficient_gram(300, shift), order=order)
+        chol.factor(a)
+        assert all(f_contiguous for f_contiguous, _ in seen)
+        assert len(seen) == (2 if shift == 0.0 else 3)
+        assert len({address for _, address in seen[1:]}) == 1
+
+    @pytest.mark.parametrize("shift", [0.0, 5e-9])
+    def test_jittered_factor_bit_equal_to_sum(self, shift):
+        # The diagonal is rewritten from the saved one at each level, not
+        # accumulated, so the result is the old ``a + jitter * I`` factor.
+        a = _rank_deficient_gram(300, shift)
+        f = chol.factor(a)
+        m = a.shape[0]
+        assert f.jitter_used == (1e-10 if shift == 0.0 else 1e-8) * np.mean(np.diag(a))
+        assert np.array_equal(f.L, np.linalg.cholesky(a + f.jitter_used * np.eye(m)))
+        assert np.array_equal(a, _rank_deficient_gram(300, shift))
+
+    def test_jitter_path_peak_memory(self):
+        a = _rank_deficient_gram(1500)
+        tracemalloc.start()
+        try:
+            f = chol.factor(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.jitter_used > 0
+        assert peak <= 2.1 * a.nbytes
 
 
 class TestRankOneUpdate:

@@ -17,6 +17,7 @@ from sparsegp.errors import (
     DimensionMismatchError,
     DuplicateInducingPointError,
     NegativeVarianceError,
+    NotFactorizableError,
     NumericalInconsistencyError,
 )
 
@@ -477,6 +478,11 @@ class TestGaussianKL:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             svgp.gaussian_kl([0.0], [[1.0]], [0.0, 0.0], np.eye(2))
+
+    def test_nan_covariance_rejected(self):
+        S = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(NotFactorizableError):
+            svgp.gaussian_kl(np.zeros(2), S, np.zeros(2), np.eye(2))
 
 
 class TestMonotonicity:
