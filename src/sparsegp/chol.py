@@ -83,9 +83,7 @@ def factor(A: np.ndarray) -> LowerFactor:
     reads A's upper triangle.  For an exactly symmetric A, such as every Gram
     :func:`sparsegp.kernels.gram` returns, that is the lower triangle and L
     is bit for bit ``np.linalg.cholesky(A)``; otherwise the symmetry check
-    bounds the difference.  A jittered attempt factors one column-major copy
-    of A whose diagonal is rewritten for each level, so beside A the factor
-    holds at most that copy, numpy's work buffer and L.
+    bounds the difference.
 
     Raises
     ------
@@ -100,23 +98,19 @@ def factor(A: np.ndarray) -> LowerFactor:
     m = A.shape[0]
     if m == 0:
         return LowerFactor(np.zeros((0, 0)), 0.0)
-    asymmetry, scale = _max_asymmetry(A)
+    asymmetry, scale = _asymmetry_and_scale(A)
     if not np.isfinite(scale):
         raise NotFactorizableError("input matrix has a non-finite entry")
     if asymmetry > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
         raise AsymmetricInputError("input matrix is not symmetric within tolerance")
     column_major = A.T if A.flags.c_contiguous else A
-    diag = A.diagonal()
-    mean_diag = float(np.mean(diag))
-    jittered = None
+    mean_diag = float(np.mean(np.diag(A)))
     for level in DEFAULT_JITTER_LEVELS:
         jitter = level * mean_diag
-        if jitter:
-            if jittered is None:
-                jittered = np.array(column_major, order="F")
-            np.fill_diagonal(jittered, diag + jitter)
         try:
-            L = np.linalg.cholesky(jittered if jitter else column_major)
+            L = np.linalg.cholesky(
+                column_major + jitter * np.eye(m, order="F") if jitter else column_major
+            )
         except np.linalg.LinAlgError:
             continue
         return LowerFactor(L, float(jitter))
@@ -125,7 +119,7 @@ def factor(A: np.ndarray) -> LowerFactor:
     )
 
 
-def _max_asymmetry(A: np.ndarray) -> tuple[float, float]:
+def _asymmetry_and_scale(A: np.ndarray) -> tuple[float, float]:
     """``(max|A - A.T|, max|A|)``, read tile by tile over the upper triangle.
 
     Entry (r, c) of ``A - A.T`` is exactly minus entry (c, r), so the upper
