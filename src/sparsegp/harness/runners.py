@@ -1,10 +1,12 @@
 """Experiment runners: synthetic data, inducing selection, bound evaluation.
 
-Each runner draws inputs from the configured density, outputs from the prior
-generative model, selects an inducing set by the configured method, and
-records a full ResultRow per (seed, N, M) cell.  All randomness is derived
-from (seed, N, M, phase) so results do not depend on loop order, and rows
-are returned sorted by (experiment, seed, N, M).
+Each runner draws a dataset (inputs from the configured density, outputs
+from the prior generative model), selects an inducing set by the configured
+method for every M the dataset holds, and records a full ResultRow per
+(seed, N, M) cell.  All randomness is derived from (seed, N, M, phase), with
+M = 0 (no cell's M) for the X and y that one ``m-sweep`` dataset shares
+across its M, so results do not depend on loop order; rows are returned
+sorted by (experiment, seed, N, M).
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ def _fill_apriori(
         report.t, report.lambda_max_tilde, report.norm_y_sq, s2
     )
     report.lemma2_lo, report.lemma2_hi = bounds.lemma2_interval(report.t, s2)
-    if tail is not None:
-        eps = cfg.epsilon_at(n)
+    # Theorems 1-2 assume eigenfunction features, theorems 3-4 k-DPP points.
+    if tail is not None and cfg.method == "eigfunc":
         report.thm1 = bounds.thm1(n, m, cfg.delta, report.norm_y_sq, s2, tail)
         report.thm2 = bounds.thm2(n, m, cfg.delta, s2, tail)
+    if tail is not None and cfg.method == "points-kdpp":
+        eps = cfg.epsilon_at(n)
         report.thm3 = bounds.thm3(
             n, m, cfg.delta, eps, cfg.kernel.variance, report.norm_y_sq, s2, tail
         )
@@ -122,66 +126,77 @@ def _violations(report: svgp.BoundReport) -> str:
     return ",".join(bad)
 
 
-def _run_cell(
+def _run_dataset(
     cfg: ExperimentConfig,
     seed: int,
     n: int,
-    m: int,
+    ms: list[int],
     tail: kernels.SpectrumTail | None,
-) -> ResultRow:
-    X = _draw_inputs(cfg.density, n, _derived_seed(seed, n, m, _PHASE_DATA))
-    # The cell's one N x N Gram is built first (dense_gram refuses N above
-    # DENSE_LIMIT before any work).  Selection reads it; then the dense
-    # system factors that same array, so an eigvec cell's eigendecomposition
-    # is freed before the factor exists.  Each phase has its own seed, so
-    # the order changes no draw.
+) -> list[ResultRow]:
+    """One row per M in ``ms``, every M read from one dataset of n points."""
+    key_m = 0 if cfg.kind == "m-sweep" else ms[0]
+    X = _draw_inputs(cfg.density, n, _derived_seed(seed, n, key_m, _PHASE_DATA))
+    # The dataset's one N x N Gram is built first (dense_gram refuses N above
+    # DENSE_LIMIT before any work).  Every selection reads it; then the dense
+    # system factors that same array, so an eigvec selection's
+    # eigendecomposition is freed before the factor exists.  Each phase has
+    # its own seed, so the order changes no draw.
     t0 = time.perf_counter()
     K = gp_exact.dense_gram(X, cfg.kernel)
     t1 = time.perf_counter()
-    ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT))
-    m_used = ind.count
+    picks = []
+    for m in ms:
+        start = time.perf_counter()
+        ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT))
+        picks.append((ind, time.perf_counter() - start))
     t2 = time.perf_counter()
     dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
-    y = gp_exact.sample_prior_outputs(dense, _derived_seed(seed, n, m, _PHASE_OUTPUTS))
+    y = gp_exact.sample_prior_outputs(dense, _derived_seed(seed, n, key_m, _PHASE_OUTPUTS))
     data = gp_exact.Dataset(X, y)
-    report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind, dense)
-    t3 = time.perf_counter()
-    _fill_apriori(report, cfg, n, m_used, tail)
-    t4 = time.perf_counter()
-    timing = (t2 - t1, t1 - t0 + t3 - t2, t4 - t3) if cfg.record_timing else (0.0, 0.0, 0.0)
-    return ResultRow(
-        **dataclasses.asdict(report),
-        experiment=cfg.name,
-        seed=seed,
-        n=n,
-        m=m_used,
-        method=cfg.method,
-        time_select=timing[0],
-        time_solve=timing[1],
-        time_bounds=timing[2],
-        violation=_violations(report),
-    )
-
-
-def _sorted_rows(rows: list[ResultRow]) -> list[ResultRow]:
-    return sorted(rows, key=lambda r: (r.experiment, r.seed, r.n, r.m))
+    shared = t1 - t0 + time.perf_counter() - t2
+    rows = []
+    for ind, select_s in picks:
+        t3 = time.perf_counter()
+        report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind, dense)
+        t4 = time.perf_counter()
+        _fill_apriori(report, cfg, n, ind.count, tail)
+        t5 = time.perf_counter()
+        timing = (select_s, shared + t4 - t3, t5 - t4) if cfg.record_timing else (0.0,) * 3
+        rows.append(
+            ResultRow(
+                **dataclasses.asdict(report),
+                experiment=cfg.name,
+                seed=seed,
+                n=n,
+                m=ind.count,
+                method=cfg.method,
+                time_select=timing[0],
+                time_solve=timing[1],
+                time_bounds=timing[2],
+                violation=_violations(report),
+            )
+        )
+    return rows
 
 
 def run_grid(cfg: ExperimentConfig) -> list[ResultRow]:
     """One row per (seed, N, M) cell of the configured grid.
 
-    ``m-sweep`` sweeps ``m_grid`` at the first N; ``fixed-m`` and
-    ``log-schedule`` sweep ``n_grid`` with M from ``m_rule``.  Each N must be
-    at most ``gp_exact.DENSE_LIMIT``: a larger one raises
-    ``DenseLimitExceededError`` before its Gram is built.
+    ``m-sweep`` sweeps ``m_grid`` on one dataset per seed at the first N;
+    ``fixed-m`` and ``log-schedule`` sweep ``n_grid`` with M from ``m_rule``,
+    one dataset per cell.  Each N must be at most ``gp_exact.DENSE_LIMIT``: a
+    larger one raises ``DenseLimitExceededError`` before its Gram is built.
     """
     tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
     if cfg.kind == "m-sweep":
-        grid = [(cfg.n_grid[0], m) for m in cfg.m_grid]
+        datasets = [(cfg.n_grid[0], cfg.m_grid)]
     else:
-        grid = [(n, cfg.m_rule.resolve(n, cfg)) for n in cfg.n_grid]
-    rows = [_run_cell(cfg, seed, n, min(m, n), tail) for seed in cfg.seeds for n, m in grid]
-    return _sorted_rows(rows)
+        datasets = [(n, [cfg.m_rule.resolve(n, cfg)]) for n in cfg.n_grid]
+    rows = []
+    for seed in cfg.seeds:
+        for n, ms in datasets:
+            rows += _run_dataset(cfg, seed, n, [min(m, n) for m in ms], tail)
+    return sorted(rows, key=lambda r: (r.experiment, r.seed, r.n, r.m))
 
 
 def _cluster_sample(n: int, seed: int) -> np.ndarray:
@@ -215,7 +230,7 @@ def run_dispersion_demo(cfg: ExperimentConfig) -> tuple[list[str], dict[str, flo
         X = _cluster_sample(n, _derived_seed(seed, n, m, _PHASE_DATA))
         picks: dict[str, np.ndarray] = {}
         for ell in cfg.dispersion_lengthscales:
-            K = kernels.gram(kernels.squared_exponential(cfg.kernel.variance, [ell]), X)
+            K = kernels.gram(dataclasses.replace(cfg.kernel, lengthscales=[ell]), X)
             steps = cfg.chain_budget(n, m)
             label = f"kdpp-ell={ell:g}"
             picks[label] = inducing.kdpp_mcmc(

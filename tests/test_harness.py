@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +266,7 @@ class TestConfigParsing:
         assert unbounded.chain_budget(1000, 12) == inducing.mixing_steps(1000, 12, 1e-10)
         assert replace(cfg, epsilon=0.01).epsilon_at(1000) == 0.01
         tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
-        row = runners._run_cell(replace(cfg, chain_steps=200), 0, 60, 5, tail)
+        (row,) = runners._run_dataset(replace(cfg, chain_steps=200), 0, 60, [5], tail)
         eps = 0.1 / 60.0**3
         expected = bounds.thm4(60, row.m, cfg.delta, eps, 1.0, 1.0, tail)
         assert row.thm4 == pytest.approx(expected, rel=1e-12)
@@ -380,14 +380,21 @@ class TestRunners:
             assert r.thm1 is None
 
     def test_gaussian_density_fills_theorem_slots(self):
+        # Theorems 1-2 fill only eigfunc rows and theorems 3-4 only
+        # points-kdpp rows; every method reads the same dataset per cell.
         text = SMOKE_CONFIG.replace(
             "density = uniform", "density = gaussian"
         ).replace("lengthscale = 0.4", "lengthscale = 0.6")
         cfg = config.parse_config_text(text)[0]
         rows = runners.run_grid(cfg)
-        for r in rows:
-            assert r.thm1 is not None and r.thm4 is not None
-            assert r.thm3 >= (r.m + 1) * r.thm1 - 1e-9
+        eig = runners.run_grid(replace(cfg, method="eigfunc"))
+        uniform = runners.run_grid(replace(cfg, method="points-uniform"))
+        for r, e, u in zip(rows, eig, uniform, strict=True):
+            assert r.norm_y_sq == e.norm_y_sq == u.norm_y_sq and r.m == e.m
+            assert e.thm1 is not None and r.thm4 is not None
+            assert r.thm3 >= (r.m + 1) * e.thm1 - 1e-9
+            assert (r.thm1, r.thm2) == (e.thm3, e.thm4) == (None, None)
+            assert (u.thm1, u.thm2, u.thm3, u.thm4) == (None, None, None, None)
 
     @staticmethod
     def _matern_unit_interval(lengthscale, variance):
@@ -410,7 +417,7 @@ class TestRunners:
             assert (r.thm1, r.thm2, r.thm3, r.thm4) == (None, None, None, None)
 
     def test_matern_theorem_slots_scale_with_variance(self):
-        cfg = self._matern_unit_interval("0.5", 4.0)
+        cfg = replace(self._matern_unit_interval("0.5", 4.0), method="eigfunc")
         row = runners.run_grid(cfg)[0]
         tail = kernels.matern_spectrum_tail(1, 4.0 * 0.85)
         assert row.thm2 == bounds.thm2(row.n, row.m, cfg.delta, cfg.noise.variance, tail)
@@ -428,8 +435,10 @@ class TestRunners:
 
     def test_one_dense_gram_and_factor_per_cell(self, monkeypatch):
         # The y draw, the Lanczos matvec and the exact KL share one N x N
-        # Gram and one factor of K + s2 I.
+        # Gram and one factor of K + s2 I, built once per dataset: once per
+        # (seed, N) cell, and once per seed for every M of an m-sweep.
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
+        sweep = replace(cfg, kind="m-sweep", m_grid=[2, 5, 8])
         calls = Counter()
         gram, factor = kernels.gram, chol.factor
 
@@ -450,6 +459,10 @@ class TestRunners:
         for n in cfg.n_grid:
             assert calls["gram", (n, n)] == len(cfg.seeds)
             assert calls["factor", (n, n)] == len(cfg.seeds)
+        calls.clear()
+        assert len(runners.run_grid(sweep)) == len(cfg.seeds) * len(sweep.m_grid)
+        n = sweep.n_grid[0]
+        assert calls["gram", (n, n)] == calls["factor", (n, n)] == len(cfg.seeds)
 
     def test_one_dense_gram_per_eigvec_cell(self, monkeypatch):
         # Eigenvector features come from the cell's one N x N Gram, and their
@@ -483,6 +496,12 @@ class TestRunners:
             for name in ("gram", "eigh", "factor")
         ]
         assert [e for e in events if e[1] in {(n, n) for n in cfg.n_grid}] == expected
+        # An m-sweep dataset runs every M's eigendecomposition before its one factor.
+        events.clear()
+        runners.run_grid(replace(cfg, kind="m-sweep", m_grid=[2, 5, 8]))
+        n = cfg.n_grid[0]
+        expected = [("gram", (n, n))] + [("eigh", (n, n))] * 3 + [("factor", (n, n))]
+        assert [e for e in events if e[1] == (n, n)] == expected * len(cfg.seeds)
 
     def test_outputs_drawn_from_the_evaluated_system(self, monkeypatch):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
@@ -494,12 +513,72 @@ class TestRunners:
             return evaluate(data, kernel, noise, ind, dense)
 
         monkeypatch.setattr(svgp, "evaluate", capturing_evaluate)
-        runners._run_cell(cfg, 1, 40, 8, None)
+        runners._run_dataset(cfg, 1, 40, [8], None)
         (data, dense), = seen
         seed = runners._derived_seed(1, 40, 8, runners._PHASE_OUTPUTS)
         z = np.random.default_rng(seed).standard_normal(40)
         assert np.array_equal(data.y, dense.noisy.L @ z)
         assert np.array_equal(dense.K, kernels.gram(cfg.kernel, data.X))
+
+    def test_m_sweep_rows_of_a_seed_share_one_dataset(self):
+        # Every M of an m-sweep seed reads the X and y keyed by (seed, N)
+        # with M = 0; only the selection is keyed by M.
+        cfg = replace(
+            config.parse_config_text(SMOKE_CONFIG)[0], kind="m-sweep", m_grid=[2, 5, 8]
+        )
+        rows = runners.run_grid(cfg)
+        n = cfg.n_grid[0]
+        for seed in cfg.seeds:
+            X = runners._draw_inputs(
+                cfg.density, n, runners._derived_seed(seed, n, 0, runners._PHASE_DATA)
+            )
+            dense = gp_exact.DenseSystem.from_gram(gp_exact.dense_gram(X, cfg.kernel), cfg.noise)
+            y = gp_exact.sample_prior_outputs(
+                dense, runners._derived_seed(seed, n, 0, runners._PHASE_OUTPUTS)
+            )
+            norms = {r.norm_y_sq for r in rows if r.seed == seed}
+            assert norms == {float(y @ y)}
+        assert len({r.norm_y_sq for r in rows}) == len(cfg.seeds)
+
+    @pytest.mark.parametrize("kind", ["fixed-m", "log-schedule"])
+    def test_one_m_rows_keyed_by_seed_n_m(self, kind):
+        # A one-M dataset derives X, y and the selection from (seed, N, M,
+        # phase); rebuilt step by step, each row is the one run_grid returns.
+        text = SMOKE_CONFIG.replace("kind = fixed-m", f"kind = {kind}")
+        if kind == "log-schedule":
+            text = text.replace("m_rule = fixed", "m_rule = log\nm_coeff = 1.5")
+        cfg = config.parse_config_text(text)[0]
+        tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
+        rows = runners.run_grid(cfg)
+        assert len(rows) == len(cfg.seeds) * len(cfg.n_grid)
+        for row in rows:
+            seed, n, m = row.seed, row.n, cfg.m_rule.resolve(row.n, cfg)
+            X = runners._draw_inputs(
+                cfg.density, n, runners._derived_seed(seed, n, m, runners._PHASE_DATA)
+            )
+            K = gp_exact.dense_gram(X, cfg.kernel)
+            ind = runners._select_inducing(
+                cfg, X, K, m, runners._derived_seed(seed, n, m, runners._PHASE_SELECT)
+            )
+            dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
+            y = gp_exact.sample_prior_outputs(
+                dense, runners._derived_seed(seed, n, m, runners._PHASE_OUTPUTS)
+            )
+            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.kernel, cfg.noise, ind, dense)
+            runners._fill_apriori(report, cfg, n, ind.count, tail)
+            expected = emit.ResultRow(
+                **asdict(report),
+                experiment=cfg.name,
+                seed=seed,
+                n=n,
+                m=ind.count,
+                method=cfg.method,
+                time_select=0.0,
+                time_solve=0.0,
+                time_bounds=0.0,
+                violation=runners._violations(report),
+            )
+            assert row == expected
 
     def test_m_sweep_monotone_kl_for_eigvec(self):
         text = """
@@ -519,6 +598,7 @@ seeds = 0 1 2
 """
         cfg = config.parse_config_text(text)[0]
         rows = runners.run_grid(cfg)
+        # Each seed's M share one dataset, so more Gram eigenvectors never raise the KL.
         for seed in (0, 1, 2):
             kls = [r.kl_exact for r in rows if r.seed == seed]
             assert all(a >= b - 1e-8 for a, b in zip(kls, kls[1:]))
@@ -598,6 +678,38 @@ seeds = 0:5
         for line in lines:
             idx = [int(tok) for tok in line.split(",")[3].split()]
             assert len(idx) == len(set(idx)) == 8
+
+
+    def test_matern_config_builds_matern_grams(self, monkeypatch):
+        text = """
+[experiment:spread]
+kind = dispersion
+kernel = matern
+matern_order = 2
+variance = 1.5
+lengthscale = 1.0
+density = gaussian
+noise_variance = 1.0
+n_grid = 40
+m_rule = fixed
+m = 5
+method = points-kdpp
+chain_steps = 50
+seeds = 0:2
+dispersion_lengthscales = 2.0 0.5
+"""
+        cfg = config.parse_config_text(text)[0]
+        seen = []
+        gram = kernels.gram
+
+        def capturing_gram(kernel, *args, **kwargs):
+            seen.append(kernel)
+            return gram(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "gram", capturing_gram)
+        runners.run_dispersion_demo(cfg)
+        got = [(k.family, k.matern_order, k.variance, list(k.lengthscales)) for k in seen]
+        assert got == [(kernels.MATERN, 2, 1.5, [ell]) for ell in (2.0, 0.5)] * len(cfg.seeds)
 
 
 class TestCli:
