@@ -1,11 +1,11 @@
 """Dense Cholesky utilities with O(M^2) incremental edits.
 
 :func:`factor` checks its input in one tiled pass over A (symmetry, scale and
-finiteness: a NaN or an infinity raises) and hands LAPACK A in column-major
-order, so numpy's copy into its work buffer is contiguous.  For a C-ordered
-A that is the transpose view, whose lower triangle LAPACK reads: A's upper
-triangle, equal to the lower one for the library's exactly symmetric Grams
-and within the symmetry check's tolerance of it otherwise.
+finiteness: a NaN or an infinity raises) and factors one column-major copy
+of A in place with LAPACK ``dpotrf``.  For a C-ordered A that copy is of the
+transpose view, whose lower triangle LAPACK reads: A's upper triangle, equal
+to the lower one for the library's exactly symmetric Grams and within the
+symmetry check's tolerance of it otherwise.
 
 Besides plain factorization with an escalating jitter schedule, this module
 provides three primitives that edit a factor of a principal submatrix as
@@ -20,7 +20,8 @@ Every triangular solve in the library goes through :func:`solve_lower`: one
 direct LAPACK ``dtrtrs`` call, on the memory layout SciPy's own triangular
 solver passes to that routine, so the results match SciPy's to the last bit
 without its per-call argument handling, which at the exchange chain's sizes
-costs several times the solve itself.
+costs several times the solve itself.  Both routines run in the OpenBLAS
+SciPy bundles, not in numpy's.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import (
     AsymmetricInputError,
@@ -77,12 +78,14 @@ def factor(A: np.ndarray) -> LowerFactor:
     """Factor a symmetric PSD matrix, escalating through a jitter schedule.
 
     The amounts added to the diagonal, tried in order, are
-    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.  LAPACK is handed
-    A in column-major order, so numpy copies it into its work buffer without
-    a strided gather: a C-ordered A goes in as its transpose view, and LAPACK
-    reads A's upper triangle.  For an exactly symmetric A, such as every Gram
-    :func:`sparsegp.kernels.gram` returns, that is the lower triangle and L
-    is bit for bit ``np.linalg.cholesky(A)``; otherwise the symmetry check
+    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.  Each level copies
+    A's column-major view into the same F-ordered buffer, adds its jitter to
+    the diagonal and factors the buffer in place with LAPACK ``dpotrf``: the
+    factor is that buffer, and A is never written.  A C-ordered A is copied
+    from its transpose view, so LAPACK reads A's upper triangle.  For an
+    exactly symmetric A, such as every Gram :func:`sparsegp.kernels.gram`
+    returns, that is the lower triangle and L is bit for bit
+    ``scipy.linalg.cholesky(A, lower=True)``; otherwise the symmetry check
     bounds the difference.
 
     Raises
@@ -105,15 +108,17 @@ def factor(A: np.ndarray) -> LowerFactor:
         raise AsymmetricInputError("input matrix is not symmetric within tolerance")
     column_major = A.T if A.flags.c_contiguous else A
     mean_diag = float(np.mean(np.diag(A)))
+    work = np.empty((m, m), order="F")
     for level in DEFAULT_JITTER_LEVELS:
         jitter = level * mean_diag
-        try:
-            L = np.linalg.cholesky(
-                column_major + jitter * np.eye(m, order="F") if jitter else column_major
-            )
-        except np.linalg.LinAlgError:
-            continue
-        return LowerFactor(L, float(jitter))
+        np.copyto(work, column_major)
+        if jitter:
+            work[np.diag_indices(m)] += jitter
+        L, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return LowerFactor(L, float(jitter))
+        if info < 0:
+            raise DimensionMismatchError(f"LAPACK dpotrf rejected argument {-info}")
     raise NotFactorizableError(
         f"Cholesky failed at all {len(DEFAULT_JITTER_LEVELS)} jitter levels"
     )

@@ -24,8 +24,8 @@ from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidHype
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Largest N for which the O(N^3) dense system is built; K and its factor
-# take 200 MB each at the limit.
+# Largest N for which the O(N^3) dense system is built; its peak memory is K
+# and its factor, 200 MB each at the limit.
 DENSE_LIMIT = 5000
 
 

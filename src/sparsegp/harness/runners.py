@@ -42,13 +42,14 @@ def _draw_inputs(density: kernels.DensitySpec, n: int, seed: int) -> np.ndarray:
 
 
 def _select_inducing(
-    cfg: ExperimentConfig, X: np.ndarray, K: np.ndarray, m: int, seed: int
+    cfg: ExperimentConfig, X: np.ndarray, K: np.ndarray, m: int, seed: int, top=None
 ) -> svgp.InducingSet:
     """Build the configured inducing set from X and its Gram K; may return fewer than m features.
 
     Point selections truncate to the numerical rank of the Gram matrix when
     a schedule asks for more columns than are numerically independent; the
-    realized size is what gets reported.
+    realized size is what gets reported.  An eigvec selection slices ``top``
+    (K's features at some M >= m) when given it.
     """
     n = X.shape[0]
     if cfg.method == "points-uniform":
@@ -64,7 +65,8 @@ def _select_inducing(
         idx = inducing.kdpp_mcmc(K, m, steps, seed, allow_truncation=True)
         return svgp.Points(X[idx])
     if cfg.method == "eigvec":
-        return inducing.eigenvector_features(K, X, m)
+        top = top or inducing.eigenvector_features(K, X, m)
+        return svgp.EigenvectorFeatures(top.lambdas[:m], top.W[:, :m], X)
     if cfg.method == "eigfunc":
         return inducing.eigenfunction_features(cfg.kernel, cfg.density, m, cfg.quadrature)
     raise ConfigError(f"unknown method {cfg.method!r}")
@@ -137,17 +139,19 @@ def _run_dataset(
     key_m = 0 if cfg.kind == "m-sweep" else ms[0]
     X = _draw_inputs(cfg.density, n, _derived_seed(seed, n, key_m, _PHASE_DATA))
     # The dataset's one N x N Gram is built first (dense_gram refuses N above
-    # DENSE_LIMIT before any work).  Every selection reads it; then the dense
-    # system factors that same array, so an eigvec selection's
-    # eigendecomposition is freed before the factor exists.  Each phase has
-    # its own seed, so the order changes no draw.
+    # DENSE_LIMIT before any work).  Every selection reads it, an eigvec one
+    # through one eigendecomposition at the largest M; then the dense system
+    # factors that same array, so the eigendecomposition is freed before the
+    # factor exists.  Each phase has its own seed, so the order changes no draw.
     t0 = time.perf_counter()
     K = gp_exact.dense_gram(X, cfg.kernel)
     t1 = time.perf_counter()
-    picks = []
+    picks, top = [], None
     for m in ms:
         start = time.perf_counter()
-        ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT))
+        if cfg.method == "eigvec" and top is None:
+            top = inducing.eigenvector_features(K, X, max(ms))
+        ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT), top)
         picks.append((ind, time.perf_counter() - start))
     t2 = time.perf_counter()
     dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)

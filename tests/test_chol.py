@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_triangular
 
 from sparsegp import chol, kernels
@@ -154,45 +155,62 @@ def _rank_deficient_gram(n, shift=0.0):
 
 
 class TestFactorLayout:
-    """LAPACK gets A in column-major order, with the same factor as before."""
+    """dpotrf factors one column-major work buffer in place, and that buffer is L."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n", [1, 257, 600, 2000])
-    def test_bit_equal_to_numpy_on_exact_grams(self, n, order):
+    @pytest.mark.parametrize("n", [1, 2, 257, 600, 2000])
+    def test_bit_equal_to_scipy_on_exact_grams(self, n, order):
         K = _exact_gram(n)
         assert np.array_equal(K, K.T)
         f = chol.factor(np.asarray(K, order=order))
         assert f.jitter_used == 0.0
-        assert np.array_equal(f.L, np.linalg.cholesky(K))
+        assert np.array_equal(f.L, scipy.linalg.cholesky(K, lower=True))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shift", [0.0, 5e-9])
     def test_lapack_sees_column_major_arrays(self, monkeypatch, order, shift):
-        # A C-ordered argument would make numpy gather it into its work
-        # buffer element by element, on the plain and the jittered attempts.
+        # Every jitter level refills and factors the same F-contiguous
+        # buffer, and the level that succeeds returns it as L; A is only read.
         seen = []
-        cholesky = np.linalg.cholesky
+        dpotrf = chol.dpotrf
 
-        def spy(a):
-            seen.append(a.flags.f_contiguous)
-            return cholesky(a)
+        def spy(a, **kwargs):
+            seen.append(a)
+            return dpotrf(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(chol, "dpotrf", spy)
         a = np.asarray(_rank_deficient_gram(300, shift), order=order)
-        chol.factor(a)
+        before = a.copy()
+        f = chol.factor(a)
         assert len(seen) == (2 if shift == 0.0 else 3)
-        assert all(seen)
+        assert all(buf is seen[0] for buf in seen)
+        assert seen[0].flags.f_contiguous
+        assert np.shares_memory(f.L, seen[0])
+        assert not np.shares_memory(f.L, a)
+        assert a.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("shift", [0.0, 5e-9])
     def test_jittered_factor_bit_equal_to_sum(self, shift):
-        # The jittered sum is formed on the column-major view, with the same
-        # factor as the sum on A itself.
+        # One failed level without the shift, two with it.
         a = _rank_deficient_gram(300, shift)
         f = chol.factor(a)
         m = a.shape[0]
         assert f.jitter_used == (1e-10 if shift == 0.0 else 1e-8) * np.mean(np.diag(a))
-        assert np.array_equal(f.L, np.linalg.cholesky(a + f.jitter_used * np.eye(m)))
+        expected = scipy.linalg.cholesky(a + f.jitter_used * np.eye(m), lower=True)
+        assert np.array_equal(f.L, expected)
         assert np.array_equal(a, _rank_deficient_gram(300, shift))
+
+    def test_every_level_failing_leaves_a_unchanged(self):
+        a = np.asfortranarray([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        before = a.copy()
+        with pytest.raises(NotFactorizableError):
+            chol.factor(a)
+        assert a.tobytes() == before.tobytes()
+
+    def test_rejected_lapack_argument_raises(self, monkeypatch):
+        monkeypatch.setattr(chol, "dpotrf", lambda a, **kwargs: (a, -4))
+        with pytest.raises(DimensionMismatchError, match="dpotrf rejected argument 4"):
+            chol.factor(np.eye(3))
 
 
 class TestRankOneUpdate:

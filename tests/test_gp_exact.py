@@ -64,6 +64,15 @@ class TestDenseSystem:
             gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
         assert K.tobytes() == before.tobytes()
 
+    def test_factor_leaves_the_gram_unchanged(self):
+        X = np.random.default_rng(3).normal(size=(300, 1))
+        K = gp_exact.dense_gram(X, make_kernel())
+        before = K.copy()
+        system = gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
+        assert system.K is K
+        assert K.tobytes() == before.tobytes()
+        assert not np.shares_memory(system.noisy.L, K)
+
 
 class TestLogMarginalLikelihood:
     def test_single_zero_observation(self):

@@ -496,11 +496,12 @@ class TestRunners:
             for name in ("gram", "eigh", "factor")
         ]
         assert [e for e in events if e[1] in {(n, n) for n in cfg.n_grid}] == expected
-        # An m-sweep dataset runs every M's eigendecomposition before its one factor.
+        # An m-sweep dataset runs one eigendecomposition for every M, before
+        # its one factor.
         events.clear()
         runners.run_grid(replace(cfg, kind="m-sweep", m_grid=[2, 5, 8]))
         n = cfg.n_grid[0]
-        expected = [("gram", (n, n))] + [("eigh", (n, n))] * 3 + [("factor", (n, n))]
+        expected = [("gram", (n, n)), ("eigh", (n, n)), ("factor", (n, n))]
         assert [e for e in events if e[1] == (n, n)] == expected * len(cfg.seeds)
 
     def test_outputs_drawn_from_the_evaluated_system(self, monkeypatch):
@@ -539,6 +540,32 @@ class TestRunners:
             norms = {r.norm_y_sq for r in rows if r.seed == seed}
             assert norms == {float(y @ y)}
         assert len({r.norm_y_sq for r in rows}) == len(cfg.seeds)
+
+    def test_eigvec_m_sweep_rows_equal_one_decomposition_per_m(self):
+        # Each M's eigenpairs sliced from the dataset's one decomposition at
+        # the largest M give the row a decomposition at that M gives.
+        cfg = replace(
+            config.parse_config_text(SMOKE_CONFIG)[0],
+            kind="m-sweep",
+            m_grid=[2, 5, 8],
+            method="eigvec",
+        )
+        rows = runners.run_grid(cfg)
+        n = cfg.n_grid[0]
+        assert len(rows) == len(cfg.seeds) * len(cfg.m_grid)
+        for row in rows:
+            X = runners._draw_inputs(
+                cfg.density, n, runners._derived_seed(row.seed, n, 0, runners._PHASE_DATA)
+            )
+            K = gp_exact.dense_gram(X, cfg.kernel)
+            ind = runners._select_inducing(cfg, X, K, row.m, 0)
+            dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
+            y = gp_exact.sample_prior_outputs(
+                dense, runners._derived_seed(row.seed, n, 0, runners._PHASE_OUTPUTS)
+            )
+            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.kernel, cfg.noise, ind, dense)
+            runners._fill_apriori(report, cfg, n, ind.count, None)
+            assert asdict(report) == {k: getattr(row, k) for k in asdict(report)}
 
     @pytest.mark.parametrize("kind", ["fixed-m", "log-schedule"])
     def test_one_m_rows_keyed_by_seed_n_m(self, kind):
