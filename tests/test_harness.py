@@ -434,9 +434,9 @@ class TestRunners:
         assert runners.run_grid(cfg) == runners.run_grid(cfg)
 
     def test_one_dense_gram_and_factor_per_cell(self, monkeypatch):
-        # The y draw, the Lanczos matvec and the exact KL share one N x N
-        # Gram and one factor of K + s2 I, built once per dataset: once per
-        # (seed, N) cell, and once per seed for every M of an m-sweep.
+        # The y draw, the lambda_max block products and the exact KL share
+        # one N x N Gram and one factor of K + s2 I, built once per dataset:
+        # once per (seed, N) cell, and once per seed for every M of an m-sweep.
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         sweep = replace(cfg, kind="m-sweep", m_grid=[2, 5, 8])
         calls = Counter()

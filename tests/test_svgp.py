@@ -17,6 +17,7 @@ from sparsegp.errors import (
     DimensionMismatchError,
     DuplicateInducingPointError,
     NegativeVarianceError,
+    NoConvergenceError,
     NotFactorizableError,
     NumericalInconsistencyError,
 )
@@ -200,6 +201,63 @@ class TestLambdaMax:
     def test_estimate_above_trace_gap_raises(self):
         with pytest.raises(NumericalInconsistencyError, match="exceeds trace gap"):
             svgp._lambda_max_from(np.eye(5), np.zeros((1, 5)), 0.5, 1.0)
+
+    def test_nearly_equal_leading_eigenvalues(self):
+        # K's top direction is removed by A, leaving two residual eigenvalues
+        # 1e-9 apart at the top: the case where power iteration stalls.
+        n = 200
+        U = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
+        d = np.concatenate([[2.0, 1.0, 1.0 - 1e-9], 0.5 * 0.9 ** np.arange(n - 3)])
+        K = (U * d) @ U.T
+        A = math.sqrt(2.0) * U[:, :1].T
+        resid = K - A.T @ A
+        dense = np.linalg.eigvalsh(0.5 * (resid + resid.T))[-1]
+        got = svgp._lambda_max_from(K, A, float(np.trace(resid)), 1.0)
+        assert got == pytest.approx(dense, rel=1e-6)
+
+    def test_ritz_value_at_most_dense_eigenvalue(self):
+        for seed in range(8):
+            data, kern, _ = make_instance(60 + seed, n=120)
+            Z = data.X[inducing.uniform_subset(120, 4 + seed, seed)]
+            ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
+            dense = np.linalg.eigvalsh(kernels.gram(kern, data.X) - dense_qff(ops))[-1]
+            lam = svgp.lambda_max_gap(kern, data.X, ops)
+            assert lam <= dense + 1e-12 * 120 * kern.variance
+
+    def test_basis_cap_raises(self, monkeypatch):
+        data, kern, _ = make_instance(11, n=100)
+        Z = data.X[inducing.uniform_subset(100, 10, 5)]
+        ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
+        monkeypatch.setattr(svgp, "_KRYLOV_MAX_BASIS", svgp._KRYLOV_BLOCK)
+        with pytest.raises(NoConvergenceError, match="basis columns"):
+            svgp.lambda_max_gap(kern, data.X, ops)
+
+    def test_evaluate_reads_k_in_a_few_block_products(self):
+        # fig4's setting at N=1000: SE, lengthscale 0.4, uniform inputs on
+        # [0, 5], noise 0.1, M = ceil(2.8 ln N) = 20 points from the chain.
+        kern = kernels.squared_exponential(1.0, [0.4])
+        noise = gp_exact.NoiseModel(0.1)
+        X = np.random.default_rng(3).uniform(0.0, 5.0, (1000, 1))
+        dense = gp_exact.dense_system(X, kern, noise)
+        data = gp_exact.Dataset(X, gp_exact.sample_prior_outputs(dense, seed=4))
+        Z = X[inducing.kdpp_mcmc(dense.K, 20, 1500, seed=5)]
+        products = []
+
+        class CountingGram(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    other = [x for x in inputs if not isinstance(x, CountingGram)]
+                    products.append(np.shape(other[0]) if other else ())
+                inputs = [np.asarray(x) if isinstance(x, CountingGram) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        counted = gp_exact.DenseSystem(dense.K.view(CountingGram), dense.noisy)
+        report = svgp.evaluate(data, kern, noise, svgp.Points(Z), counted)
+        assert 1 <= len(products) <= 4
+        assert all(len(shape) == 2 and min(shape) > 1 for shape in products)
+        assert report.lambda_max_tilde == svgp.evaluate(
+            data, kern, noise, svgp.Points(Z), dense
+        ).lambda_max_tilde
 
 
 class TestUpperBounds:
