@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from ..errors import SparseGPError
+from ..errors import ConfigError, SparseGPError
 from . import runners
 from .config import default_config, parse_config
 from .emit import PlotSpec, emit_csv, emit_selection_csv, emit_svg
@@ -62,6 +62,8 @@ def _load_experiments(args) -> list:
         cfgs = [default_config(args.command)]
     if args.seed_offset:
         cfgs = [replace(c, seeds=[s + args.seed_offset for s in c.seeds]) for c in cfgs]
+        if min(s for c in cfgs for s in c.seeds) < 0:
+            raise ConfigError(f"--seed-offset {args.seed_offset} makes a seed negative")
     return cfgs
 
 

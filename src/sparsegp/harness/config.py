@@ -202,8 +202,8 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         seeds=read(
             "seeds",
             _seed_list,
-            "distinct ints, listed or as a range a:b",
-            lambda s: s and len(set(s)) == len(s),
+            "distinct nonnegative ints, listed or as a range a:b",
+            lambda s: s and len(set(s)) == len(s) and min(s) >= 0,
         ),
         m_grid=m_grid,
         gamma=read("gamma", float, "a positive float", lambda g: 0 < g < math.inf),

@@ -9,13 +9,12 @@ system), so they make no kernel evaluations of their own.  The chain keeps a
 Cholesky factor of the current submatrix, reads each swap's determinant
 ratio in closed form from two triangular solves against it, and factors the
 new M x M submatrix afresh when a swap is accepted, so the factor never
-carries the rounding of earlier edits.  Its draws
-are decoded a block of steps at a time from the raw words of the Philox
-stream, bit for bit what one ``integers``/``integers``/``random`` call per
-step returns, so the visited sets are a property of the stream alone.  Also
-provides the provable step budget for epsilon-close sampling, an exact
-enumerator used as a desk-scale oracle, and the two spectral feature
-families.
+carries the rounding of earlier edits.  Its draws come a block of steps at
+a time from one ``integers`` call, bit for bit what one
+``integers``/``integers``/``random`` call per step returns, so the visited
+sets are a property of the stream alone.  Also provides the provable step
+budget for epsilon-close sampling, an exact enumerator used as a desk-scale
+oracle, and the two spectral feature families.
 
 Every triangular solve here, as everywhere in the library, goes through
 ``chol.solve_lower``, one direct LAPACK call per solve: at the chain's small
@@ -43,9 +42,10 @@ from .errors import (
 ENUMERATION_LIMIT = 1_000_000
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    # Counter-based generator so chains keyed by (seed, stream) are independent.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stream)))))
+def _rng(seed: int) -> np.random.Generator:
+    # Counter-based generator keyed by (seed, 0); the constant second word
+    # keeps every stream, and so every shipped output, as it was.
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), 0))))
 
 
 def uniform_subset(N: int, M: int, seed: int) -> np.ndarray:
@@ -146,82 +146,26 @@ def _inverse_diagonal(f: chol.LowerFactor) -> np.ndarray:
     return np.einsum("ij,ij->j", L_inv, L_inv)
 
 
-# Steps whose draws are decoded from one raw-word call.
+# Steps drawn by one ``integers`` call.
 _DRAW_BLOCK = 4096
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_SHIFT11 = np.uint64(11)
-
-
-def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # numpy's bounded draw from [0, n) for one 32-bit word r: the high half
-    # of r * n, rejected when the low half falls below (2^32 - n) mod n.
-    m = words * np.uint64(n)
-    return m >> _SHIFT32, m & _LOW32
-
-
-def _draw_block(
-    rng: np.random.Generator, M: int, n_out: int, n: int
-) -> tuple[list[int], list[int], np.ndarray]:
-    """Draws of the next ``c <= n`` steps, decoded from ``2c`` raw Philox words.
-
-    A step's ``integers(M)``, ``integers(n_out)`` and ``random()`` take, for
-    ranges from 2 to 2^32 - 1, the low and high 32-bit halves of one word
-    and the top 53 bits of the next; with a buffered half pending,
-    ``integers(M)`` takes it and each step's high half is the next step's.
-    The block stops before the first step where a bounded draw could be
-    rejected (the Lemire leftover is below the range), and the generator is
-    left exactly where ``c`` per-step draws would leave it; ``c = 0`` means
-    the next step must be drawn by the per-step calls.
-    """
-    bg = rng.bit_generator
-    saved = bg.state
-    words = bg.random_raw(2 * n)
-    pair = words[0::2]
-    low, high = pair & _LOW32, pair >> _SHIFT32
-    pending = saved["has_uint32"]
-    if pending:
-        r_i, r_j = np.concatenate(([np.uint64(saved["uinteger"])], high[:-1])), low
-    else:
-        r_i, r_j = low, high
-    pos_i, left_i = _lemire(r_i, M)
-    pos_j, left_j = _lemire(r_j, n_out)
-    u = (words[1::2] >> _SHIFT11) * (1.0 / 9007199254740992.0)
-    cut = np.flatnonzero((left_i < M) | (left_j < n_out))
-    c = int(cut[0]) if cut.size else n
-    if c < n:
-        bg.state = saved
-        bg.random_raw(2 * c)
-    if pending and c:
-        st = bg.state
-        st["uinteger"] = int(high[c - 1])
-        bg.state = st
-    return pos_i[:c].tolist(), pos_j[:c].tolist(), u[:c]
 
 
 def _draws(rng: np.random.Generator, M: int, n_out: int, steps: int):
     """Yield the (i, j, u) draws of `steps` transitions, a block at a time.
 
-    Blocks are decoded by :func:`_draw_block` on the Philox generator that
-    :func:`_rng` builds.  A step at a possible rejection, and every step when
-    a range is 1 (``integers(1)`` draws no bits), does not fit in 32 bits or
-    the generator is another one, is drawn by the per-step calls.
+    One broadcast ``integers`` call per block draws in step order, through
+    the scalar calls' bounded-draw routines, so its values, rejections and
+    final generator state (buffered 32-bit half included) are those of
+    ``integers(M)``, ``integers(n_out)`` and ``random()`` per step, for any
+    range.  A draw below 2^53 is ``random()``'s top 53 bits of one word on
+    Philox (which :func:`_rng` builds), PCG64 and SFC64.
     """
-    decoded = (
-        type(rng.bit_generator) is np.random.Philox and 2 <= M < 2**32 and 2 <= n_out < 2**32
-    )
+    high = np.array([M, n_out, 2**53])
     while steps > 0:
         n = min(steps, _DRAW_BLOCK)
-        pos_i, pos_j, u = _draw_block(rng, M, n_out, n) if decoded else ([], [], None)
-        if not pos_i:
-            per_step = [
-                (int(rng.integers(M)), int(rng.integers(n_out)), rng.random())
-                for _ in range(1 if decoded else n)
-            ]
-            pos_i, pos_j, u = zip(*per_step)
-            u = np.array(u)
-        steps -= len(pos_i)
-        yield pos_i, pos_j, u
+        D = rng.integers(0, high, size=(n, 3))
+        steps -= n
+        yield D[:, 0].tolist(), D[:, 1].tolist(), D[:, 2] * 2.0**-53
 
 
 def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> SamplerState:
@@ -230,11 +174,11 @@ def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> Sa
     Each transition draws a member position i (``integers(M)``), an
     outsider position j (``integers(n_out)``) and a uniform u
     (``random()``), and accepts the swap of i for j when
-    u < (1/2) min(1, det(K_T)/det(K_S)).  The draws are decoded from the
-    stream in blocks (see :func:`_draw_block`), so the chain visits the same
-    sets as one made of those three calls per step.  The acceptance
-    probability never exceeds 1/2, so u >= 1/2 rejects without any linear
-    algebra; without ``on_state`` such steps are skipped in bulk.
+    u < (1/2) min(1, det(K_T)/det(K_S)).  The draws come in blocks (see
+    :func:`_draws`), so the chain visits the same sets as one made of those
+    three calls per step.  The acceptance probability never exceeds 1/2, so
+    u >= 1/2 rejects without any linear algebra; without ``on_state`` such
+    steps are skipped in bulk.
     Otherwise the ratio is read in closed form from the current factor L of
     K_S: with ``k_Sj = K[S, j]``, ``c = L^-1 k_Sj``, ``d_j = K[j, j] - c.c``
     and ``w = L^-T c``, det(K_T)/det(K_S) = d_j (K_S^-1)_ii + w_i^2.  A
@@ -243,10 +187,13 @@ def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> Sa
     An accepted swap factors ``K[T, T]``, T = S - i + [j], afresh (one M x M
     Cholesky), so ``state.factor`` is always the factor of the current
     submatrix; a factor that fails or whose last pivot is at the floor
-    rejects the swap.  ``state.accepted`` counts accepted swaps.
+    rejects the swap.  ``state.accepted`` counts accepted swaps.  A state
+    with no outsiders (M = N) raises MTooLargeError unless `steps` is 0.
     """
     M = len(state.indices)
     n_out = state.complement.shape[0]
+    if n_out == 0 and steps > 0:
+        raise MTooLargeError("exchange chain needs M < N")
     inv_diag = _inverse_diagonal(state.factor)
     S = np.array(state.indices)
 

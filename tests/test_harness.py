@@ -785,6 +785,14 @@ class TestCli:
         assert {r.seed for r in rows_b} == {100, 101}
         assert rows_a != rows_b
 
+    def test_seed_offset_below_zero_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "smoke.cfg"
+        cfg_path.write_text(SMOKE_CONFIG)
+        args = ["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert cli.main([*args, "--seed-offset", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_config_of_wrong_kind_exit_2(self, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
         cfg_path.write_text(SMOKE_CONFIG)
@@ -800,6 +808,8 @@ class TestCli:
             "n_grid = 40 abc",
             "seeds = 0 x",
             "seeds = 0:x",
+            "seeds = -1",
+            "seeds = -3:2",
             "quadrature = 2.5",
             "m = 2.5",
             "lengthscale = x",
