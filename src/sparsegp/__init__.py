@@ -1,47 +1,3 @@
 """Sparse variational GP regression with certified approximation quality."""
 
-from . import bounds, chol, gp_exact, inducing, kernels, svgp
-from .gp_exact import Dataset, NoiseModel
-from .kernels import (
-    EmpiricalDensity,
-    GaussianDensity,
-    KernelSpec,
-    SpectrumTail,
-    UniformDensity,
-    matern_half_integer,
-    squared_exponential,
-)
-from .svgp import (
-    BoundReport,
-    EigenfunctionFeatures,
-    EigenvectorFeatures,
-    FeatureOperators,
-    Points,
-    VariationalSolution,
-)
-
-__all__ = [
-    "bounds",
-    "chol",
-    "gp_exact",
-    "inducing",
-    "kernels",
-    "svgp",
-    "Dataset",
-    "NoiseModel",
-    "KernelSpec",
-    "SpectrumTail",
-    "GaussianDensity",
-    "UniformDensity",
-    "EmpiricalDensity",
-    "matern_half_integer",
-    "squared_exponential",
-    "Points",
-    "EigenvectorFeatures",
-    "EigenfunctionFeatures",
-    "FeatureOperators",
-    "VariationalSolution",
-    "BoundReport",
-]
-
 __version__ = "0.1.0"

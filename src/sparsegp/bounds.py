@@ -101,12 +101,8 @@ def thm3(
 ) -> float:
     """High-probability KL bound for epsilon-k-DPP inducing points, any outputs."""
     _check_delta(delta)
-    C = N * tail.tail(M)
-    return (
-        (C * (M + 1) + 2.0 * N * v * epsilon)
-        / (2.0 * noise_var * delta)
-        * (1.0 + norm_y_sq / noise_var)
-    )
+    trace = nystrom_trace_bound(N * tail.tail(M), M, N, v, epsilon)
+    return trace / (2.0 * noise_var * delta) * (1.0 + norm_y_sq / noise_var)
 
 
 def thm4(
@@ -120,8 +116,7 @@ def thm4(
 ) -> float:
     """High-probability KL bound for epsilon-k-DPP points, prior-drawn outputs."""
     _check_delta(delta)
-    C = N * tail.tail(M)
-    return (C * (M + 1) + 2.0 * N * v * epsilon) / (delta * noise_var)
+    return nystrom_trace_bound(N * tail.tail(M), M, N, v, epsilon) / (delta * noise_var)
 
 
 def nystrom_trace_bound(

@@ -64,6 +64,15 @@ def _load_experiments(args) -> list:
         cfgs = [replace(c, seeds=[s + args.seed_offset for s in c.seeds]) for c in cfgs]
         if min(s for c in cfgs for s in c.seeds) < 0:
             raise ConfigError(f"--seed-offset {args.seed_offset} makes a seed negative")
+    cfgs = [replace(c, out_csv=c.out_csv or f"{c.name}.csv") for c in cfgs]
+    seen = {}  # output file -> the experiment that writes it
+    for cfg in cfgs:
+        svg = None if args.command == "dispersion" else cfg.out_svg  # the demo writes no SVG
+        for path in filter(None, (cfg.out_csv, svg)):
+            key = os.path.normpath(path)
+            if key in seen:
+                raise ConfigError(f"experiments {seen[key]!r} and {cfg.name!r} both write {path!r}")
+            seen[key] = cfg.name
     return cfgs
 
 
@@ -82,7 +91,7 @@ def main(argv=None) -> int:
         cfgs = _load_experiments(args)
         os.makedirs(args.out_dir, exist_ok=True)
         for cfg in cfgs:
-            csv_path = os.path.join(args.out_dir, cfg.out_csv or f"{cfg.name}.csv")
+            csv_path = os.path.join(args.out_dir, cfg.out_csv)
             if args.command == "dispersion":
                 lines, nn = runners.run_dispersion_demo(cfg)
                 emit_selection_csv(lines, csv_path)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import bounds, inducing, kernels
 from ..errors import ConfigError
@@ -71,6 +71,8 @@ def _schedule_se_1d(n: int, cfg: "ExperimentConfig") -> bounds.ScheduleSE1D:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment section, every field read; ``_DEFAULTS`` holds the defaults."""
+
     name: str
     kind: str
     kernel: kernels.KernelSpec
@@ -80,16 +82,16 @@ class ExperimentConfig:
     m_rule: MRule
     method: str
     seeds: list[int]
-    m_grid: list[int] = field(default_factory=list)
-    gamma: float = 1.0
-    delta: float = 0.1
-    epsilon: float | None = None
-    chain_steps: int | None = None
-    quadrature: int = 2048
-    record_timing: bool = False
-    dispersion_lengthscales: list[float] = field(default_factory=lambda: [2.0, 0.5])
-    out_csv: str | None = None
-    out_svg: str | None = None
+    m_grid: list[int]
+    gamma: float
+    delta: float
+    epsilon: float | None
+    chain_steps: int | None
+    quadrature: int
+    record_timing: bool
+    dispersion_lengthscales: list[float]
+    out_csv: str | None
+    out_svg: str | None
 
     def epsilon_at(self, n: int) -> float:
         """Sampling tolerance at N: the set epsilon, else the schedule's, else N^-3."""

@@ -1,19 +1,17 @@
 """Kernels, Gram matrices and covariance-operator spectra.
 
-Covers Gram evaluation for squared-exponential and half-integer Matern
-kernels (products of 1-D factors in D > 1; a single covariance is a 1 x 1
-Gram), the closed-form spectrum of the SE kernel under a Gaussian input
-density together with its geometric tail sums, product spectra for the ARD
-case, power-law tail bounds for Matern kernels on an interval with a
-calibrated constant, and a quadrature-based numeric oracle that produces
-eigenvalue/eigenfunction pairs for any (kernel, density) pair.
+Covers Gram evaluation for squared-exponential and half-integer Matern kernels
+(products of 1-D factors in D > 1; a single covariance is a 1 x 1 Gram), the
+closed-form spectrum of the SE kernel under a Gaussian input density together
+with its geometric tail sums, power-law tail bounds for Matern kernels on an
+interval with a calibrated constant, and a quadrature-based numeric oracle
+that produces eigenvalue/eigenfunction pairs for any (kernel, density) pair.
 ``spectrum_tail`` is the one place that decides which (kernel, density)
 pair has a closed-form spectrum.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -267,38 +265,6 @@ def se_gaussian_constants(ell: float, sigma: float) -> SEGaussianConstants:
     c = math.sqrt(a * a + 2.0 * a * b)
     A = a + b + c
     return SEGaussianConstants(a, b, c, A, b / A)
-
-
-def se_ard_gaussian_spectrum(ells, sigmas, variance: float, count: int) -> np.ndarray:
-    """Leading ``count`` eigenvalues of a product SE-ARD operator, sorted descending.
-
-    Per-dimension spectra are unit-variance geometric sequences; the overall
-    signal variance multiplies each product once.  The leading products over
-    multi-indices are enumerated best-first with a heap.
-    """
-    ells = np.atleast_1d(np.asarray(ells, dtype=float))
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if ells.shape != sigmas.shape:
-        raise DimensionMismatchError("need one lengthscale and one std per dimension")
-    if variance <= 0 or count < 1:
-        raise InvalidHyperparameterError("variance must be positive, count >= 1")
-    consts = [se_gaussian_constants(l, s) for l, s in zip(ells, sigmas)]
-    lead = np.array([math.sqrt(2.0 * k.a / k.A) for k in consts])
-    ratios = np.array([k.B for k in consts])
-    top = np.prod(lead)
-    start = (0,) * len(consts)
-    heap = [(-top, start)]
-    seen = {start}
-    out = []
-    while heap and len(out) < count:
-        negval, idx = heapq.heappop(heap)
-        out.append(-negval)
-        for d in range(len(consts)):
-            nxt = idx[:d] + (idx[d] + 1,) + idx[d + 1 :]
-            if nxt not in seen:
-                seen.add(nxt)
-                heapq.heappush(heap, (negval * ratios[d], nxt))
-    return variance * np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

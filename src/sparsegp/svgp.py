@@ -149,14 +149,6 @@ class FeatureOperators:
     Kuf: np.ndarray
     kff_diag: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return self.Kuu.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.Kuf.shape[1]
-
 
 @dataclass(frozen=True)
 class VariationalSolution:
@@ -288,17 +280,17 @@ def lambda_max_gap(
     The residual operator is applied as ``K_ff V - A^T (A V)`` to blocks V of
     ``_KRYLOV_BLOCK`` columns, so one pass over K_ff serves a whole block.
     Starting from a fixed Gaussian block (``default_rng(0)``), each new block
-    is orthogonalised twice against the basis, and the estimate is the top
-    Rayleigh-Ritz value of the residual on that basis.  Unlike a single power
-    iteration vector, a block does not stall when the two leading residual
-    eigenvalues are nearly equal, which happens routinely for well-spread
-    point sets.  The iteration stops once the top Ritz pair's residual norm is
-    at most ``0.1 * tol`` times the Ritz value (ARPACK's test) or at round-off
-    (``1e-14 N variance``); a basis that reaches ``_KRYLOV_MAX_BASIS`` columns
-    first raises NoConvergenceError.  A Ritz value never exceeds the
-    eigenvalue, so the result is a lower estimate of lambda_max.  It is
-    clamped into [0, t]; exceeding t beyond round-off slack raises
-    NumericalInconsistencyError.
+    is orthogonalised twice against the basis (once more after QR if needed),
+    and the estimate is the top Rayleigh-Ritz value of the residual on that
+    orthonormal basis.  Unlike a single power iteration vector, a block does
+    not stall when the two leading residual eigenvalues are nearly equal,
+    which happens routinely for well-spread point sets.  The iteration stops
+    once the top Ritz pair's residual norm is at most ``0.1 * tol`` times the
+    Ritz value (ARPACK's test) or at round-off (``1e-14 N variance``); a basis
+    that reaches ``_KRYLOV_MAX_BASIS`` columns first raises
+    NoConvergenceError.  A Ritz value never exceeds the eigenvalue, so the
+    result is a lower estimate of lambda_max.  It is clamped into [0, t];
+    exceeding t beyond round-off slack raises NumericalInconsistencyError.
     """
     A, _ = _whiten(ops)
     t = _trace_gap_from(kernels.gram_diag(kernel, X), A)
@@ -331,6 +323,10 @@ def _lambda_max_from(
         for _ in range(2):  # a second pass restores orthogonality lost to cancellation
             W = W - Q @ (Q.T @ W)
         V = np.linalg.qr(W[:, : n - Q.shape[1]])[0]
+        # QR of a rank-deficient W can return columns not orthogonal to Q.
+        P = Q.T @ V
+        if np.max(np.abs(P)) > 1e-8:
+            V = np.linalg.qr(V - Q @ P)[0]
     if lam > t + 1e-8 * max(t, 1.0) + 1e-12 * n * variance:
         raise NumericalInconsistencyError(
             f"largest residual eigenvalue {lam:.3e} exceeds trace gap {t:.3e}"

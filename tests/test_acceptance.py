@@ -250,8 +250,7 @@ def test_criterion_9_thm4_probability_statement():
         y = gp_exact.sample_prior_outputs(system, seed=50_000 + draw)
         data = gp_exact.Dataset(X, y)
         idx = inducing.kdpp_mcmc(system.K, sched.m, 1000, seed=draw, allow_truncation=True)
-        ops = svgp.feature_operators(svgp.Points(X[idx]), kern, data.X)
-        kl = svgp.kl_exact(data, kern, noise, ops)
+        kl = svgp.evaluate(data, kern, noise, svgp.Points(X[idx]), system).kl_exact
         limit = bounds.thm4(1000, len(idx), delta, eps, 1.0, noise.variance, tail)
         if kl <= limit:
             held += 1

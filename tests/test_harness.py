@@ -12,7 +12,7 @@ import pytest
 
 from sparsegp import bounds, chol, gp_exact, inducing, kernels, svgp
 from sparsegp.errors import ConfigError, DenseLimitExceededError
-from sparsegp.harness import PlotSpec, cli, config, emit, oracle_suite, runners
+from sparsegp.harness import cli, config, emit, oracle_suite, runners
 
 CONFIG_MD = Path(__file__).resolve().parents[1] / "CONFIG.md"
 
@@ -350,7 +350,7 @@ class TestSvgEmission:
     def test_deterministic_bytes_and_structure(self, tmp_path):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         rows = runners.run_grid(cfg)
-        spec = PlotSpec(x="n", ys=("kl_exact", "lemma2_lo", "lemma2_hi"), title="smoke")
+        spec = emit.PlotSpec(x="n", ys=("kl_exact", "lemma2_lo", "lemma2_hi"), title="smoke")
         s1 = emit.render_svg(rows, spec)
         s2 = emit.render_svg(list(rows), spec)
         assert s1 == s2
@@ -362,7 +362,7 @@ class TestSvgEmission:
         assert p.read_text() == s1
 
     def test_empty_rows_still_valid_svg(self):
-        s = emit.render_svg([], PlotSpec(x="n", ys=("kl_exact",), title="empty"))
+        s = emit.render_svg([], emit.PlotSpec(x="n", ys=("kl_exact",), title="empty"))
         assert s.startswith("<svg") and s.rstrip().endswith("</svg>")
 
 
@@ -844,6 +844,30 @@ class TestCli:
         out.write_text("")
         assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "kind,text,path",
+        [
+            ("fixed-m", "kind = fixed-m\nout_csv = shared.csv\n[experiment:a]\n", "shared.csv"),
+            ("dispersion", "kind = dispersion\nout_csv = shared.csv\n[experiment:a]\n", "shared.csv"),
+            ("m-sweep", "kind = m-sweep\nm_grid = 2\n[experiment:a]\nout_svg = b.csv\n", "b.csv"),
+        ],
+        ids=["csv", "dispersion-csv", "svg-on-csv"],
+    )
+    def test_two_experiments_writing_one_file_exit_2(
+        self, tmp_path, monkeypatch, capsys, kind, text, path
+    ):
+        def refuse(cfg):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(runners, "run_grid", refuse)
+        monkeypatch.setattr(runners, "run_dispersion_demo", refuse)
+        cfg_path = tmp_path / "dup.cfg"
+        cfg_path.write_text("[defaults]\n" + text + "[experiment:b]\n")
+        assert cli.main([kind, "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and "'a' and 'b'" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_percent_escape_read_once(self, tmp_path):
         cfg_path = tmp_path / "pct.cfg"

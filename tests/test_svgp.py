@@ -224,6 +224,20 @@ class TestLambdaMax:
             lam = svgp.lambda_max_gap(kern, data.X, ops)
             assert lam <= dense + 1e-12 * 120 * kern.variance
 
+    @pytest.mark.parametrize("ell", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_low_rank_residual_not_overshot(self, ell, m):
+        # A few inducing points at a long lengthscale leave K - A^T A of low
+        # numerical rank; QR then fills the block with directions that are
+        # not orthogonal to the basis unless they are projected out again.
+        kern = kernels.squared_exponential(1.0, [ell])
+        for seed in range(20):
+            X = np.random.default_rng(seed).normal(size=(30, 1))
+            ops = svgp.feature_operators(svgp.Points(X[:m]), kern, X)
+            exact = np.linalg.eigvalsh(kernels.gram(kern, X) - dense_qff(ops))[-1]
+            lam = svgp.lambda_max_gap(kern, X, ops)
+            assert lam <= exact * (1 + 1e-9) + 1e-13
+
     def test_basis_cap_raises(self, monkeypatch):
         data, kern, _ = make_instance(11, n=100)
         Z = data.X[inducing.uniform_subset(100, 10, 5)]
