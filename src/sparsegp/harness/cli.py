@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from ..errors import ConfigError, SparseGPError
 from . import runners
-from .config import default_config, parse_config
+from .config import KINDS, parse_config
 from .emit import PlotSpec, emit_csv, emit_selection_csv, emit_svg
 
 _PLOTS = {
@@ -41,9 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sparse variational GP regression with certified bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fixed-m", "m-sweep", "log-schedule", "dispersion"):
+    for name in KINDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="experiment config file (INI; see CONFIG.md)")
+        p.add_argument(
+            "--config", required=True, help="experiment config file (INI; see CONFIG.md)"
+        )
         p.add_argument("--seed-offset", type=int, default=0)
         p.add_argument("--out-dir", default=".")
     p = sub.add_parser("oracle-suite", help="run the independent oracle checks")
@@ -52,14 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_experiments(args) -> list:
-    if args.config:
-        cfgs = [c for c in parse_config(args.config) if c.kind == args.command]
-        if not cfgs:
-            raise SparseGPError(
-                f"config {args.config!r} defines no experiment of kind {args.command!r}"
-            )
-    else:
-        cfgs = [default_config(args.command)]
+    cfgs = [c for c in parse_config(args.config) if c.kind == args.command]
+    if not cfgs:
+        raise SparseGPError(
+            f"config {args.config!r} defines no experiment of kind {args.command!r}"
+        )
     if args.seed_offset:
         cfgs = [replace(c, seeds=[s + args.seed_offset for s in c.seeds]) for c in cfgs]
         if min(s for c in cfgs for s in c.seeds) < 0:

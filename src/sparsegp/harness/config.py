@@ -258,90 +258,3 @@ def parse_config(path: str) -> list[ExperimentConfig]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path!r} is not UTF-8: {exc}") from None
 
-
-# Built-in experiment definitions used when no --config is given.  The
-# log-schedule default derives M from the exact SE/Gaussian tail; pass
-# m_rule=log with an explicit m_coeff to override.
-DEFAULT_CONFIGS = {
-    "fixed-m": """
-[experiment:fixed-m-default]
-kind = fixed-m
-kernel = se
-variance = 1.0
-lengthscale = 0.4
-density = uniform
-density_lower = 0.0
-density_upper = 5.0
-noise_variance = 0.1
-n_grid = 100 250 500 1000 2000
-m_rule = fixed
-m = 15
-method = points-kdpp
-chain_steps = 2000
-seeds = 0:20
-out_csv = fixed_m.csv
-out_svg = fixed_m.svg
-""",
-    "m-sweep": """
-[experiment:m-sweep-default]
-kind = m-sweep
-kernel = se
-variance = 1.0
-lengthscale = 0.6
-density = gaussian
-density_mean = 0.0
-density_std = 1.0
-noise_variance = 1.0
-n_grid = 1000
-m_grid = 1 2 4 6 8 10 12 15 20 25
-m_rule = fixed
-m = 1
-method = points-kdpp
-chain_steps = 2000
-seeds = 0:10
-delta = 0.1
-out_csv = m_sweep.csv
-out_svg = m_sweep.svg
-""",
-    "log-schedule": """
-[experiment:log-schedule-default]
-kind = log-schedule
-kernel = se
-variance = 1.0
-lengthscale = 0.6
-density = gaussian
-density_mean = 0.0
-density_std = 1.0
-noise_variance = 1.0
-n_grid = 250 500 1000 2000 4000
-m_rule = schedule-se-1d
-gamma = 1.0
-delta = 0.1
-method = points-kdpp
-chain_steps = 2000
-seeds = 0:20
-out_csv = log_schedule.csv
-out_svg = log_schedule.svg
-""",
-    "dispersion": """
-[experiment:dispersion-default]
-kind = dispersion
-kernel = se
-variance = 1.0
-lengthscale = 1.0
-density = gaussian
-noise_variance = 1.0
-n_grid = 100
-m_rule = fixed
-m = 10
-method = points-kdpp
-chain_steps = 2000
-seeds = 0:100
-dispersion_lengthscales = 2.0 0.5
-out_csv = dispersion.csv
-""",
-}
-
-
-def default_config(kind: str) -> ExperimentConfig:
-    return parse_config_text(DEFAULT_CONFIGS[kind])[0]

@@ -33,8 +33,6 @@ from .errors import (
     NumericalInconsistencyError,
 )
 
-LOG_2PI = math.log(2.0 * math.pi)
-
 _ORTHONORMALITY_TOL = 1e-8
 
 # Block width of the lambda_max Krylov iteration: one pass over K applies the
@@ -43,6 +41,11 @@ _KRYLOV_BLOCK = 8
 # Widest Krylov basis (columns) before the lambda_max estimate gives up; the
 # slowest case the tests know, a Matern-3/2 residual at tol 1e-8, needs 72.
 _KRYLOV_MAX_BASIS = 96
+
+# A Kuu factor whose smallest squared pivot is below this ratio times its
+# largest leaves K - A^T A indefinite in round-off (its top eigenvalue can
+# exceed its trace); Kuu plus this ratio times mean(diag Kuu) is factored instead.
+_WHITEN_PIVOT_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -202,8 +205,17 @@ def feature_operators(
 
 
 def _whiten(ops: FeatureOperators) -> tuple[np.ndarray, chol.LowerFactor]:
-    """Return A = Luu^{-1} Kuf and the factor of (jittered) Kuu."""
+    """Return A = Luu^{-1} Kuf and the factor of (jittered) Kuu.
+
+    A jittered Kuu is the covariance of inducing variables observed with a
+    little independent noise, so every bound stays a bound of the same model.
+    """
     f = chol.factor(ops.Kuu)
+    pivots = np.diag(f.L) ** 2
+    if np.any(pivots < _WHITEN_PIVOT_RATIO * pivots.max(initial=0.0)):
+        jitter = _WHITEN_PIVOT_RATIO * float(np.mean(np.diag(ops.Kuu)))
+        g = chol.factor(ops.Kuu + jitter * np.eye(len(pivots)))
+        f = chol.LowerFactor(g.L, jitter + g.jitter_used)
     A = chol.solve_lower(f.L, ops.Kuf)
     return A, f
 
@@ -226,7 +238,7 @@ def _log_bounds(A: np.ndarray, y: np.ndarray, noise_var: float):
         L = L0 if shift == 0.0 else np.linalg.cholesky(np.eye(m) + AAt / s)
         c = chol.solve_lower(L, Ay)
         quad = (yy - float(c @ c) / s) / s
-        return -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
+        return -0.5 * quad - 0.5 * logdet - 0.5 * n * gp_exact.LOG_2PI
 
     return L0, log_bound
 

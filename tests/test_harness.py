@@ -39,6 +39,30 @@ out_svg = smoke.svg
 """
 
 
+# The spectrum schedule of Theorem 4 (``m_rule = schedule-se-1d``): M and the
+# chain's epsilon both derive from N, gamma and delta.  CONFIG.md shows it too.
+LOG_SCHEDULE_CONFIG = """
+[experiment:log-schedule-default]
+kind = log-schedule
+kernel = se
+variance = 1.0
+lengthscale = 0.6
+density = gaussian
+density_mean = 0.0
+density_std = 1.0
+noise_variance = 1.0
+n_grid = 250 500 1000 2000 4000
+m_rule = schedule-se-1d
+gamma = 1.0
+delta = 0.1
+method = points-kdpp
+chain_steps = 2000
+seeds = 0:20
+out_csv = log_schedule.csv
+out_svg = log_schedule.svg
+"""
+
+
 def _with_line(text: str, line: str) -> str:
     """``text`` with ``line`` appended to its last section, after dropping the
     lines that already set that key (a repeated key is malformed config)."""
@@ -83,11 +107,6 @@ class TestConfigParsing:
         text = SMOKE_CONFIG.replace("kind = fixed-m", "kind = m-sweep")
         with pytest.raises(ConfigError):
             config.parse_config_text(text)
-
-    def test_builtin_defaults_parse(self):
-        for kind in config.DEFAULT_CONFIGS:
-            cfg = config.default_config(kind)
-            assert cfg.kind == kind
 
     def test_shipped_configs_parse(self):
         shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
@@ -260,7 +279,7 @@ class TestConfigParsing:
     def test_epsilon_decided_in_one_place(self):
         # The schedule's own epsilon, delta * noise / (v N^(gamma + 2)), sets
         # both the chain budget and the theorem-3/4 columns.
-        cfg = config.default_config("log-schedule")
+        (cfg,) = config.parse_config_text(LOG_SCHEDULE_CONFIG)
         assert cfg.epsilon_at(1000) == pytest.approx(1e-10, rel=1e-12)
         unbounded = replace(cfg, chain_steps=None)
         assert unbounded.chain_budget(1000, 12) == inducing.mixing_steps(1000, 12, 1e-10)
@@ -755,6 +774,20 @@ class TestCli:
         res = self._run("fixed-m", "--config", "/does/not/exist.cfg")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("kind", config.KINDS)
+    def test_config_flag_left_out_exit_2(self, tmp_path, monkeypatch, capsys, kind):
+        def refuse(cfg):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(runners, "run_grid", refuse)
+        monkeypatch.setattr(runners, "run_dispersion_demo", refuse)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([kind])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_smoke_run_exit_0(self, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
         cfg_path.write_text(SMOKE_CONFIG)
@@ -876,6 +909,7 @@ class TestCli:
         assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
         assert len(emit.parse_csv(str(tmp_path / "a%b.csv"))) == 2
 
+    # oracle-suite takes no --config; this runs it without one.
     @pytest.mark.parametrize("passed,code,tag", [(True, 0, "PASS"), (False, 1, "FAIL")])
     def test_oracle_suite_exit_code(self, monkeypatch, capsys, passed, code, tag):
         seen = []

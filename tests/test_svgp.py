@@ -35,8 +35,13 @@ def make_instance(seed, n=50, ell=0.6, v=1.0, s2=0.5):
 
 
 def dense_qff(ops):
-    # Stable dense Nystrom matrix (triangular solves, not a raw inverse).
+    # Stable dense Nystrom matrix (triangular solves, not a raw inverse).  A
+    # Kuu whose squared pivots span more than 1e10 is factored with
+    # 1e-10 * mean(diag Kuu) on its diagonal, the Kuu that svgp whitens with.
     f = chol.factor(ops.Kuu)
+    pivots = np.diag(f.L) ** 2
+    if pivots.size and pivots.min() < 1e-10 * pivots.max():
+        f = chol.factor(ops.Kuu + 1e-10 * np.mean(np.diag(ops.Kuu)) * np.eye(pivots.size))
     A = solve_triangular(f.L, ops.Kuf, lower=True)
     return A.T @ A
 
@@ -237,6 +242,21 @@ class TestLambdaMax:
             exact = np.linalg.eigvalsh(kernels.gram(kern, X) - dense_qff(ops))[-1]
             lam = svgp.lambda_max_gap(kern, X, ops)
             assert lam <= exact * (1 + 1e-9) + 1e-13
+
+    @pytest.mark.parametrize("ell", [2.0, 3.0])
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_numerically_singular_kuu_keeps_lambda_max_within_trace(self, n, m, ell):
+        # The leading inputs of a Gaussian sample at a long lengthscale give
+        # a Kuu of condition number up to 1e16.  Whitened without jitter,
+        # K - A^T A came out indefinite on 26 of these 240 instances: its top
+        # eigenvalue exceeded its trace, or the trace fell below the audit.
+        kern = kernels.squared_exponential(1.0, [ell])
+        for seed in range(20):
+            X = np.random.default_rng(seed).normal(size=(n, 1))
+            ops = svgp.feature_operators(svgp.Points(X[:m]), kern, X)
+            t = svgp.trace_gap(kern, X, ops)
+            assert 0.0 <= svgp.lambda_max_gap(kern, X, ops) <= t
 
     def test_basis_cap_raises(self, monkeypatch):
         data, kern, _ = make_instance(11, n=100)
