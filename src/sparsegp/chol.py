@@ -1,11 +1,12 @@
 """Dense Cholesky utilities with O(M^2) incremental edits.
 
 :func:`factor` checks its input in one tiled pass over A (symmetry, scale and
-finiteness: a NaN or an infinity raises) and factors one column-major copy
-of A in place with LAPACK ``dpotrf``.  For a C-ordered A that copy is of the
-transpose view, whose lower triangle LAPACK reads: A's upper triangle, equal
-to the lower one for the library's exactly symmetric Grams and within the
-symmetry check's tolerance of it otherwise.
+finiteness: a NaN or an infinity raises) and factors A's column-major view
+with LAPACK ``dpotrf``: in a copy by default, or in A's own memory with
+``overwrite_a``.  For a C-ordered A that view is the transpose, whose lower
+triangle LAPACK reads: A's upper triangle, equal to the lower one for the
+library's exactly symmetric Grams and within the symmetry check's tolerance
+of it otherwise.
 
 Besides plain factorization with an escalating jitter schedule, this module
 provides three primitives that edit a factor of a principal submatrix as
@@ -36,6 +37,7 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     NotFactorizableError,
+    NotInPlaceError,
     NotPositiveDefiniteError,
 )
 
@@ -74,19 +76,27 @@ class LowerFactor:
         return self.L @ self.L.T
 
 
-def factor(A: np.ndarray) -> LowerFactor:
+def factor(A: np.ndarray, overwrite_a: bool = False) -> LowerFactor:
     """Factor a symmetric PSD matrix, escalating through a jitter schedule.
 
     The amounts added to the diagonal, tried in order, are
-    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.  Each level copies
-    A's column-major view into the same F-ordered buffer, adds its jitter to
-    the diagonal and factors the buffer in place with LAPACK ``dpotrf``: the
-    factor is that buffer, and A is never written.  A C-ordered A is copied
-    from its transpose view, so LAPACK reads A's upper triangle.  For an
-    exactly symmetric A, such as every Gram :func:`sparsegp.kernels.gram`
-    returns, that is the lower triangle and L is bit for bit
+    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.  LAPACK ``dpotrf``
+    factors A's column-major view: a C-ordered A is read through its
+    transpose view, so LAPACK reads A's upper triangle.  For an exactly
+    symmetric A, such as every Gram :func:`sparsegp.kernels.gram` returns,
+    that is the lower triangle and L is bit for bit
     ``scipy.linalg.cholesky(A, lower=True)``; otherwise the symmetry check
     bounds the difference.
+
+    By default that view is copied once into an F-ordered buffer, which
+    becomes L, and A is never written.  With ``overwrite_a`` the buffer is
+    A's own memory, with the same L: A must be a C- or F-contiguous float64
+    array, and on success its memory holds L (the returned ``L`` is a view
+    of it).  ``dpotrf`` writes one triangle only, so a level that fails is
+    undone from the untouched mirror triangle and the saved diagonal before
+    the next is tried.  The symmetry and finiteness checks raise before
+    anything is written, and a failure at every level leaves the buffer, and
+    so A, as it was.
 
     Raises
     ------
@@ -94,7 +104,16 @@ def factor(A: np.ndarray) -> LowerFactor:
         If A holds a NaN or an infinity, or if every jitter level fails.
     AsymmetricInputError
         If ``max|A - A.T| > 1e-10 * max|A|``.
+    NotInPlaceError
+        With ``overwrite_a``, if A is not a writeable contiguous float64 array.
     """
+    if overwrite_a and not (
+        isinstance(A, np.ndarray)
+        and A.dtype == np.float64
+        and (A.flags.c_contiguous or A.flags.f_contiguous)
+        and A.flags.writeable
+    ):
+        raise NotInPlaceError("overwrite_a needs a writeable, contiguous float64 array")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected square matrix, got shape {A.shape}")
@@ -107,21 +126,30 @@ def factor(A: np.ndarray) -> LowerFactor:
     if asymmetry > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
         raise AsymmetricInputError("input matrix is not symmetric within tolerance")
     column_major = A.T if A.flags.c_contiguous else A
-    mean_diag = float(np.mean(np.diag(A)))
-    work = np.empty((m, m), order="F")
+    diag = column_major.diagonal().copy()
+    mean_diag = float(np.mean(diag))
+    work = column_major if overwrite_a else column_major.copy(order="F")
     for level in DEFAULT_JITTER_LEVELS:
         jitter = level * mean_diag
-        np.copyto(work, column_major)
-        if jitter:
-            work[np.diag_indices(m)] += jitter
-        L, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
+        np.fill_diagonal(work, diag + jitter)
+        L, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
         if info == 0:
+            for j in range(1, m):  # dpotrf leaves the input above the diagonal
+                L[:j, j] = 0.0
             return LowerFactor(L, float(jitter))
         if info < 0:
             raise DimensionMismatchError(f"LAPACK dpotrf rejected argument {-info}")
+        _restore_lower(work, diag)
     raise NotFactorizableError(
         f"Cholesky failed at all {len(DEFAULT_JITTER_LEVELS)} jitter levels"
     )
+
+
+def _restore_lower(F: np.ndarray, diag: np.ndarray) -> None:
+    """Rewrite an F-ordered F's lower triangle from its upper one, and its diagonal."""
+    for j in range(F.shape[0] - 1):
+        F[j + 1 :, j] = F[j, j + 1 :]
+    np.fill_diagonal(F, diag)
 
 
 def _asymmetry_and_scale(A: np.ndarray) -> tuple[float, float]:

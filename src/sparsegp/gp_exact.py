@@ -5,8 +5,8 @@ schedule; the jitter actually used is visible on the returned factors.  The
 prior mean is identically zero.  :func:`dense_system` builds the one
 :class:`DenseSystem` of an instance and refuses N above ``DENSE_LIMIT``; a
 caller that reads the Gram before it is factored builds it with
-:func:`dense_gram` and factors that same array with
-:meth:`DenseSystem.from_gram`.
+:func:`dense_gram`, reads it, and then factors that same array in place with
+:meth:`DenseSystem.from_gram`, which consumes it.
 :func:`log_marginal_likelihood` and :func:`posterior` build their own;
 :func:`sample_prior_outputs` and :func:`sparsegp.svgp.evaluate` read one the
 caller built, so a harness cell draws y and evaluates from the same factor.
@@ -20,12 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chol, kernels
-from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidHyperparameterError
+from .errors import (
+    DenseLimitExceededError,
+    DimensionMismatchError,
+    InvalidHyperparameterError,
+    SparseGPError,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Largest N for which the O(N^3) dense system is built; its peak memory is K
-# and its factor, 200 MB each at the limit.
+# Largest N for which the O(N^3) dense system is built; its peak memory is
+# one N x N array, 200 MB at the limit, as the factor takes K's memory.
 DENSE_LIMIT = 5000
 
 
@@ -66,21 +71,38 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class DenseSystem:
-    """Noise-free Gram K of the inputs and the factor of K + noise*I, built once."""
+    """The factor of K + noise*I for an instance's noise-free Gram K, built once.
 
-    K: np.ndarray
+    The factor is computed in K's own memory, so the system holds one N x N
+    array; whatever reads K itself (a selection, the lambda_max estimate)
+    runs before the system is built.
+    """
+
     noisy: chol.LowerFactor
 
     @classmethod
     def from_gram(cls, K: np.ndarray, noise: NoiseModel) -> "DenseSystem":
-        """Factor ``K + noise*I`` for a built Gram K, which the system keeps."""
+        """Factor ``K + noise*I`` in the memory of a built Gram K, which is consumed.
+
+        K must be a contiguous float64 array.  On success it holds the factor
+        (``noisy.L`` is a view of it) and must not be read as a Gram again; if
+        the factor fails, K is left as it was.
+
+        Raises
+        ------
+        NotFactorizableError
+            If K holds a non-finite entry, or if every jitter level fails.
+        AsymmetricInputError
+            If K is not symmetric within ``chol.factor``'s tolerance.
+        """
         k_diag = K.diagonal().copy()
         np.fill_diagonal(K, k_diag + noise.variance)
         try:
-            noisy = chol.factor(K)
-        finally:
-            np.fill_diagonal(K, k_diag)  # the factor does not alias K; no second N x N array
-        return cls(K, noisy)
+            noisy = chol.factor(K, overwrite_a=True)
+        except SparseGPError:
+            np.fill_diagonal(K, k_diag)
+            raise
+        return cls(noisy)
 
     def log_marginal_likelihood(self, y) -> float:
         """Log density of y under the zero-mean prior with noisy Gram K + noise*I."""

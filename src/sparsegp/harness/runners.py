@@ -140,9 +140,10 @@ def _run_dataset(
     X = _draw_inputs(cfg.density, n, _derived_seed(seed, n, key_m, _PHASE_DATA))
     # The dataset's one N x N Gram is built first (dense_gram refuses N above
     # DENSE_LIMIT before any work).  Every selection reads it, an eigvec one
-    # through one eigendecomposition at the largest M; then the dense system
-    # factors that same array, so the eigendecomposition is freed before the
-    # factor exists.  Each phase has its own seed, so the order changes no draw.
+    # through one eigendecomposition at the largest M, and so does each
+    # selection's whitening and lambda_max estimate; then the dense system
+    # factors K + s2 I in K's own memory, so a cell holds one N x N array.
+    # Each phase has its own seed, so the order changes no draw.
     t0 = time.perf_counter()
     K = gp_exact.dense_gram(X, cfg.kernel)
     t1 = time.perf_counter()
@@ -152,20 +153,24 @@ def _run_dataset(
         if cfg.method == "eigvec" and top is None:
             top = inducing.eigenvector_features(K, X, max(ms))
         ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT), top)
-        picks.append((ind, time.perf_counter() - start))
+        selected = time.perf_counter()
+        res = svgp.residual(ind, cfg.kernel, X, K)
+        picks.append((ind, res, selected - start, time.perf_counter() - selected))
     t2 = time.perf_counter()
     dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
+    del K  # its memory is the factor's now
     y = gp_exact.sample_prior_outputs(dense, _derived_seed(seed, n, key_m, _PHASE_OUTPUTS))
     data = gp_exact.Dataset(X, y)
     shared = t1 - t0 + time.perf_counter() - t2
     rows = []
-    for ind, select_s in picks:
+    for ind, res, select_s, residual_s in picks:
         t3 = time.perf_counter()
-        report = svgp.evaluate(data, cfg.kernel, cfg.noise, ind, dense)
+        report = svgp.evaluate(data, cfg.noise, res, dense)
         t4 = time.perf_counter()
         _fill_apriori(report, cfg, n, ind.count, tail)
         t5 = time.perf_counter()
-        timing = (select_s, shared + t4 - t3, t5 - t4) if cfg.record_timing else (0.0,) * 3
+        solve_s = shared + residual_s + t4 - t3
+        timing = (select_s, solve_s, t5 - t4) if cfg.record_timing else (0.0,) * 3
         rows.append(
             ResultRow(
                 **dataclasses.asdict(report),

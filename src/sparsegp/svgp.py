@@ -7,10 +7,13 @@ returns (Kuu, Kux), and :func:`feature_operators` and :func:`predict` share it.
 All bound evaluations run through the M x M whitened system (never a dense
 N x N solve), so their cost is O(N M^2).  The exact KL divergence is the one
 O(N^3) quantity: :func:`kl_exact` builds a :func:`gp_exact.dense_system`,
-which refuses N above ``gp_exact.DENSE_LIMIT``; :func:`evaluate` reads one the
-caller built (the harness draws y from the same one).
+which refuses N above ``gp_exact.DENSE_LIMIT``.
 The standalone bound functions (:func:`elbo`, :func:`upper_bound`, ...) each
-whiten again; :func:`evaluate` whitens once for all of them.
+whiten; a report whitens once per inducing set, in two steps.
+:func:`residual` reads the noise-free Gram K before it is factored: it
+whitens, and computes the trace gap and the largest residual eigenvalue.
+:func:`evaluate` then reads the caller's dense system, which factors K in
+K's own memory, and the y drawn from it.
 The largest residual eigenvalue (:func:`lambda_max_gap`) is a block Krylov
 Rayleigh-Ritz estimate: a few passes over K, each applying the residual
 K - A^T A to a block of vectors, and a lower estimate of lambda_max.
@@ -191,6 +194,21 @@ class BoundReport:
     prop1_var_hi: float | None = None
 
 
+@dataclass(frozen=True)
+class Residual:
+    """What one inducing set's report reads of the noise-free Gram K.
+
+    ``A = Luu^{-1} Kuf``, the jitter the Kuu factor used, the trace gap t and
+    the largest eigenvalue of K - A^T A; none of them needs y or the factor
+    of K + noise*I.
+    """
+
+    A: np.ndarray
+    jitter_used: float
+    t: float
+    lambda_max: float
+
+
 def feature_operators(
     inducing: InducingSet, kernel: kernels.KernelSpec, X
 ) -> FeatureOperators:
@@ -282,15 +300,14 @@ def trace_gap(kernel: kernels.KernelSpec, X, ops: FeatureOperators) -> float:
 
 
 def lambda_max_gap(
-    kernel: kernels.KernelSpec,
-    X,
-    ops: FeatureOperators,
-    tol: float = 1e-6,
+    K: np.ndarray, A: np.ndarray, t: float, variance: float, tol: float = 1e-6
 ) -> float:
-    """Largest eigenvalue of K_ff - Q_ff, never forming the residual densely.
+    """Largest eigenvalue of K - A^T A, never forming the residual densely.
 
-    The residual operator is applied as ``K_ff V - A^T (A V)`` to blocks V of
-    ``_KRYLOV_BLOCK`` columns, so one pass over K_ff serves a whole block.
+    K is the N x N Gram, A the whitened M x N operator, t the trace gap of
+    the residual and ``variance`` the kernel variance.  The residual
+    operator is applied as ``K V - A^T (A V)`` to blocks V of
+    ``_KRYLOV_BLOCK`` columns, so one pass over K serves a whole block.
     Starting from a fixed Gaussian block (``default_rng(0)``), each new block
     is orthogonalised twice against the basis (once more after QR if needed),
     and the estimate is the top Rayleigh-Ritz value of the residual on that
@@ -304,14 +321,6 @@ def lambda_max_gap(
     result is a lower estimate of lambda_max.  It is clamped into [0, t];
     exceeding t beyond round-off slack raises NumericalInconsistencyError.
     """
-    A, _ = _whiten(ops)
-    t = _trace_gap_from(kernels.gram_diag(kernel, X), A)
-    return _lambda_max_from(kernels.gram(kernel, X), A, t, kernel.variance, tol)
-
-
-def _lambda_max_from(
-    K: np.ndarray, A: np.ndarray, t: float, variance: float, tol=1e-6
-) -> float:
     n = K.shape[0]
     floor = 1e-14 * n * variance
     V = np.linalg.qr(np.random.default_rng(0).standard_normal((n, min(_KRYLOV_BLOCK, n))))[0]
@@ -344,6 +353,22 @@ def _lambda_max_from(
             f"largest residual eigenvalue {lam:.3e} exceeds trace gap {t:.3e}"
         )
     return min(max(lam, 0.0), t)
+
+
+def residual(
+    inducing: InducingSet, kernel: kernels.KernelSpec, X, K: np.ndarray
+) -> Residual:
+    """Whiten one inducing set at the inputs X and estimate lambda_max from their Gram K.
+
+    K is only read, so it can be factored in place afterwards
+    (:meth:`gp_exact.DenseSystem.from_gram`).
+    """
+    ops = feature_operators(inducing, kernel, X)
+    if K.shape != (ops.Kuf.shape[1],) * 2:
+        raise DimensionMismatchError(f"Gram of shape {K.shape} for {ops.Kuf.shape[1]} inputs")
+    A, f_uu = _whiten(ops)
+    t = _trace_gap_from(ops.kff_diag, A)
+    return Residual(A, f_uu.jitter_used, t, lambda_max_gap(K, A, t, kernel.variance))
 
 
 def optimal_q(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> VariationalSolution:
@@ -428,35 +453,31 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
 
 def evaluate(
     data: gp_exact.Dataset,
-    kernel: kernels.KernelSpec,
     noise: gp_exact.NoiseModel,
-    inducing: InducingSet,
+    res: Residual,
     dense: gp_exact.DenseSystem,
 ) -> BoundReport:
     """Compute the full certified-quantity report for one instance.
 
-    Every bound reads one whitened system; the lambda_max estimate and the
-    exact KL read ``dense``, the caller's
-    ``gp_exact.dense_system(data.X, kernel, noise)``.
+    ``res`` is :func:`residual` of the inducing set at ``data.X``, and
+    ``dense`` the caller's dense system of the same inputs; every bound
+    reads ``res.A``, and the exact KL reads ``dense``.
     """
-    if dense.K.shape[0] != data.n:
+    if dense.noisy.dim != data.n or res.A.shape[1] != data.n:
         raise DimensionMismatchError(
-            f"dense system of size {dense.K.shape[0]} for {data.n} observations"
+            f"dense system of size {dense.noisy.dim} and whitened operator of "
+            f"{res.A.shape[1]} columns for {data.n} observations"
         )
-    ops = feature_operators(inducing, kernel, data.X)
-    A, f_uu = _whiten(ops)
     s2 = noise.variance
-    t = _trace_gap_from(ops.kff_diag, A)
-    lam = _lambda_max_from(dense.K, A, t, kernel.variance)
-    _, log_bound = _log_bounds(A, data.y, s2)
-    lower = log_bound(0.0) - t / (2.0 * s2)
+    _, log_bound = _log_bounds(res.A, data.y, s2)
+    lower = log_bound(0.0) - res.t / (2.0 * s2)
     return BoundReport(
-        t=t,
-        lambda_max_tilde=lam,
+        t=res.t,
+        lambda_max_tilde=res.lambda_max,
         elbo=lower,
-        upper=log_bound(t),
-        upper_refined=log_bound(lam),
+        upper=log_bound(res.t),
+        upper_refined=log_bound(res.lambda_max),
         kl_exact=_kl_from(dense.log_marginal_likelihood(data.y), lower),
         norm_y_sq=float(data.y @ data.y),
-        jitter_used=f_uu.jitter_used,
+        jitter_used=res.jitter_used,
     )

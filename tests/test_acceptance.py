@@ -60,7 +60,7 @@ def instance_bank():
         Z = X[inducing.uniform_subset(200, m, i)]
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
         t = svgp.trace_gap(kern, X, ops)
-        lam = svgp.lambda_max_gap(kern, X, ops)
+        lam = svgp.residual(svgp.Points(Z), kern, X, kernels.gram(kern, X)).lambda_max
         tight, loose = bounds.lemma1(t, lam, float(y @ y), noise.variance)
         out.append(
             Instance(
@@ -187,7 +187,8 @@ def test_criterion_5_eigenvector_feature_optimality():
         feats = inducing.eigenvector_features(kernels.gram(kern, X), X, m)
         ops = svgp.feature_operators(feats, kern, X)
         t = svgp.trace_gap(kern, X, ops)
-        lam = svgp.lambda_max_gap(kern, X, ops, tol=1e-8)
+        A, _ = svgp._whiten(ops)
+        lam = svgp.lambda_max_gap(kernels.gram(kern, X), A, t, kern.variance, tol=1e-8)
         worst_t = max(worst_t, abs(t - np.sum(w[m:])) / np.sum(w[m:]))
         worst_lam = max(worst_lam, abs(lam - w[m]) / w[m])
     report(
@@ -246,11 +247,12 @@ def test_criterion_9_thm4_probability_statement():
     held = 0
     for draw in range(100):
         X = rng.normal(0, 1, (1000, 1))
-        system = gp_exact.dense_system(X, kern, noise)
+        K = gp_exact.dense_gram(X, kern)
+        idx = inducing.kdpp_mcmc(K, sched.m, 1000, seed=draw, allow_truncation=True)
+        res = svgp.residual(svgp.Points(X[idx]), kern, X, K)
+        system = gp_exact.DenseSystem.from_gram(K, noise)
         y = gp_exact.sample_prior_outputs(system, seed=50_000 + draw)
-        data = gp_exact.Dataset(X, y)
-        idx = inducing.kdpp_mcmc(system.K, sched.m, 1000, seed=draw, allow_truncation=True)
-        kl = svgp.evaluate(data, kern, noise, svgp.Points(X[idx]), system).kl_exact
+        kl = svgp.evaluate(gp_exact.Dataset(X, y), noise, res, system).kl_exact
         limit = bounds.thm4(1000, len(idx), delta, eps, 1.0, noise.variance, tail)
         if kl <= limit:
             held += 1

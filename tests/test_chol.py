@@ -14,12 +14,13 @@ import pytest
 import scipy.linalg
 from scipy.linalg import solve_triangular
 
-from sparsegp import chol, kernels
+from sparsegp import chol, gp_exact, kernels
 from sparsegp.errors import (
     AsymmetricInputError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     NotFactorizableError,
+    NotInPlaceError,
     NotPositiveDefiniteError,
 )
 
@@ -211,6 +212,95 @@ class TestFactorLayout:
         monkeypatch.setattr(chol, "dpotrf", lambda a, **kwargs: (a, -4))
         with pytest.raises(DimensionMismatchError, match="dpotrf rejected argument 4"):
             chol.factor(np.eye(3))
+
+
+class TestFactorInPlace:
+    """With overwrite_a, dpotrf factors A's own column-major view, and L is that view."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 257, 600])
+    def test_bit_equal_to_copying_factor(self, n, order):
+        a = np.asarray(_exact_gram(n), order=order)
+        expected = chol.factor(a)
+        f = chol.factor(a.copy(order="A"), overwrite_a=True)
+        assert f.L.tobytes() == expected.L.tobytes()
+        assert f.jitter_used == expected.jitter_used == 0.0
+        b = a.copy(order="A")
+        assert np.shares_memory(chol.factor(b, overwrite_a=True).L, b)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shift", [0.0, 5e-9])
+    def test_jitter_retry_wider_than_a_tile(self, order, shift):
+        # Duplicated points at n = 701 > _SYMMETRY_TILE: a failed level is
+        # undone from the mirror triangle before the next is tried, one
+        # failed level without the shift and two with it.
+        assert 701 > chol._SYMMETRY_TILE
+        a = np.asarray(_rank_deficient_gram(701, shift), order=order)
+        expected = chol.factor(a)
+        assert expected.jitter_used == (1e-10 if shift == 0.0 else 1e-8) * np.mean(np.diag(a))
+        b = a.copy(order="A")
+        f = chol.factor(b, overwrite_a=True)
+        assert np.shares_memory(f.L, b)
+        assert f.L.tobytes() == expected.L.tobytes()
+        assert f.jitter_used == expected.jitter_used
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_lapack_factors_the_input_itself(self, monkeypatch, order):
+        seen = []
+        dpotrf = chol.dpotrf
+
+        def spy(a, **kwargs):
+            seen.append(a)
+            return dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(chol, "dpotrf", spy)
+        a = np.asarray(_rank_deficient_gram(300), order=order)
+        chol.factor(a, overwrite_a=True)
+        assert len(seen) == 2
+        assert all(buf.flags.f_contiguous and np.shares_memory(buf, a) for buf in seen)
+
+    @pytest.mark.parametrize(
+        "spoil", ["asymmetric", "nan-upper", "nan-mirror", "inf-diagonal"]
+    )
+    def test_rejected_input_is_not_written(self, spoil):
+        a = _exact_gram(600)
+        if spoil == "asymmetric":
+            a[598, 10] += 1e-6 * np.max(np.abs(a))
+        elif spoil == "nan-upper":
+            a[10, 598] = np.nan
+        elif spoil == "nan-mirror":
+            a[598, 10] = np.nan
+        else:
+            a[599, 599] = np.inf
+        before = a.copy()
+        error = AsymmetricInputError if spoil == "asymmetric" else NotFactorizableError
+        with pytest.raises(error):
+            chol.factor(a, overwrite_a=True)
+        assert a.tobytes() == before.tobytes()
+
+    def test_every_level_failing_leaves_a_unchanged(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        before = a.copy()
+        with pytest.raises(NotFactorizableError):
+            chol.factor(a, overwrite_a=True)
+        assert a.tobytes() == before.tobytes()
+
+    def test_input_that_would_be_copied_raises(self):
+        a = _exact_gram(40)
+        read_only = a.copy()
+        read_only.flags.writeable = False
+        for bad in (a[::2, ::2], a.astype(np.float32), a.tolist(), read_only):
+            with pytest.raises(NotInPlaceError):
+                chol.factor(bad, overwrite_a=True)
+        assert np.array_equal(a, _exact_gram(40))
+
+    def test_failed_dense_system_raises_and_leaves_the_gram(self):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite, also with the noise
+        before = K.copy()
+        with pytest.raises(NotFactorizableError):
+            gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
+        assert K.tobytes() == before.tobytes()
+        assert "consumed" in gp_exact.DenseSystem.from_gram.__doc__
 
 
 class TestRankOneUpdate:

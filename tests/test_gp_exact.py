@@ -1,11 +1,12 @@
 """Exact-GP baseline tests: scalar formulas, dense oracles, sampling moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsegp import gp_exact, kernels
+from sparsegp import chol, gp_exact, kernels
 from sparsegp.errors import (
     AsymmetricInputError,
     DenseLimitExceededError,
@@ -53,7 +54,7 @@ class TestDenseSystem:
         monkeypatch.setattr(gp_exact, "DENSE_LIMIT", 3)
         X = np.arange(4.0)[:, None]
         noise = gp_exact.NoiseModel(0.1)
-        assert gp_exact.dense_system(X[:3], make_kernel(), noise).K.shape == (3, 3)
+        assert gp_exact.dense_system(X[:3], make_kernel(), noise).noisy.L.shape == (3, 3)
         with pytest.raises(DenseLimitExceededError):
             gp_exact.dense_system(X, make_kernel(), noise)
 
@@ -64,14 +65,29 @@ class TestDenseSystem:
             gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
         assert K.tobytes() == before.tobytes()
 
-    def test_factor_leaves_the_gram_unchanged(self):
+    def test_factor_shares_the_gram_memory(self):
+        # The factor is computed in K's own memory and equals the factor of
+        # a separate K + s2 I; K is consumed.
         X = np.random.default_rng(3).normal(size=(300, 1))
         K = gp_exact.dense_gram(X, make_kernel())
-        before = K.copy()
+        expected = chol.factor(K + 0.1 * np.eye(300))
         system = gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
-        assert system.K is K
-        assert K.tobytes() == before.tobytes()
-        assert not np.shares_memory(system.noisy.L, K)
+        assert np.shares_memory(system.noisy.L, K)
+        assert system.noisy.L.tobytes() == expected.L.tobytes()
+        assert system.noisy.jitter_used == expected.jitter_used
+
+    def test_factor_allocates_no_second_gram(self):
+        # tracemalloc sees numpy's buffers: besides K, the factor needs only
+        # vectors and the symmetry check's one tile.
+        X = np.random.default_rng(4).uniform(0.0, 5.0, (1500, 1))
+        K = gp_exact.dense_gram(X, make_kernel(ell=0.4))
+        tracemalloc.start()
+        try:
+            gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * K.nbytes
 
 
 class TestLogMarginalLikelihood:

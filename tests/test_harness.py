@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -495,9 +496,9 @@ class TestRunners:
             events.append(("gram", K.shape))
             return K
 
-        def counting_factor(A):
+        def counting_factor(A, **kwargs):
             events.append(("factor", A.shape))
-            return factor(A)
+            return factor(A, **kwargs)
 
         def counting_eigh(A, *args, **kwargs):
             events.append(("eigh", A.shape))
@@ -523,14 +524,30 @@ class TestRunners:
         expected = [("gram", (n, n)), ("eigh", (n, n)), ("factor", (n, n))]
         assert [e for e in events if e[1] == (n, n)] == expected * len(cfg.seeds)
 
+    def test_dense_cell_holds_one_n_by_n_array(self):
+        # fig4's settings at N=1500: the selection, the lambda_max estimate
+        # and the factor all work in the cell's one Gram, so the traced peak
+        # (numpy's buffers included) stays near N^2 doubles, not twice that.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "fig4.cfg"
+        cfg = config.parse_config(str(shipped))[0]
+        n = 1500
+        tail = kernels.spectrum_tail(cfg.kernel, cfg.density)
+        tracemalloc.start()
+        try:
+            runners._run_dataset(cfg, cfg.seeds[0], n, [cfg.m_rule.resolve(n, cfg)], tail)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
     def test_outputs_drawn_from_the_evaluated_system(self, monkeypatch):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         seen = []
         evaluate = svgp.evaluate
 
-        def capturing_evaluate(data, kernel, noise, ind, dense):
+        def capturing_evaluate(data, noise, res, dense):
             seen.append((data, dense))
-            return evaluate(data, kernel, noise, ind, dense)
+            return evaluate(data, noise, res, dense)
 
         monkeypatch.setattr(svgp, "evaluate", capturing_evaluate)
         runners._run_dataset(cfg, 1, 40, [8], None)
@@ -538,7 +555,8 @@ class TestRunners:
         seed = runners._derived_seed(1, 40, 8, runners._PHASE_OUTPUTS)
         z = np.random.default_rng(seed).standard_normal(40)
         assert np.array_equal(data.y, dense.noisy.L @ z)
-        assert np.array_equal(dense.K, kernels.gram(cfg.kernel, data.X))
+        K = kernels.gram(cfg.kernel, data.X)
+        assert np.array_equal(dense.noisy.L, chol.factor(K + cfg.noise.variance * np.eye(40)).L)
 
     def test_m_sweep_rows_of_a_seed_share_one_dataset(self):
         # Every M of an m-sweep seed reads the X and y keyed by (seed, N)
@@ -578,11 +596,12 @@ class TestRunners:
             )
             K = gp_exact.dense_gram(X, cfg.kernel)
             ind = runners._select_inducing(cfg, X, K, row.m, 0)
+            res = svgp.residual(ind, cfg.kernel, X, K)
             dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
             y = gp_exact.sample_prior_outputs(
                 dense, runners._derived_seed(row.seed, n, 0, runners._PHASE_OUTPUTS)
             )
-            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.kernel, cfg.noise, ind, dense)
+            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.noise, res, dense)
             runners._fill_apriori(report, cfg, n, ind.count, None)
             assert asdict(report) == {k: getattr(row, k) for k in asdict(report)}
 
@@ -606,11 +625,12 @@ class TestRunners:
             ind = runners._select_inducing(
                 cfg, X, K, m, runners._derived_seed(seed, n, m, runners._PHASE_SELECT)
             )
+            res = svgp.residual(ind, cfg.kernel, X, K)
             dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
             y = gp_exact.sample_prior_outputs(
                 dense, runners._derived_seed(seed, n, m, runners._PHASE_OUTPUTS)
             )
-            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.kernel, cfg.noise, ind, dense)
+            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.noise, res, dense)
             runners._fill_apriori(report, cfg, n, ind.count, tail)
             expected = emit.ResultRow(
                 **asdict(report),

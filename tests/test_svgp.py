@@ -46,6 +46,14 @@ def dense_qff(ops):
     return A.T @ A
 
 
+def lambda_max(kern, X, ops, tol=1e-6):
+    # The block Krylov estimate on the Gram at X, from the whitening and
+    # trace gap svgp.residual computes.
+    A, _ = svgp._whiten(ops)
+    t = svgp.trace_gap(kern, X, ops)
+    return svgp.lambda_max_gap(kernels.gram(kern, X), A, t, kern.variance, tol)
+
+
 class TestFeatureOperators:
     def test_points_equal_inputs(self):
         data, kern, _ = make_instance(0, n=12)
@@ -176,14 +184,14 @@ class TestLambdaMax:
     def test_zero_for_full_set(self):
         data, kern, _ = make_instance(9, n=15)
         ops = svgp.feature_operators(svgp.Points(data.X), kern, data.X)
-        assert svgp.lambda_max_gap(kern, data.X, ops) <= 1e-9
+        assert lambda_max(kern, data.X, ops) <= 1e-9
 
     def test_eigenvector_features_give_next_eigenvalue(self):
         data, kern, _ = make_instance(10, n=40)
         feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 7)
         ops = svgp.feature_operators(feats, kern, data.X)
         w = np.linalg.eigvalsh(kernels.gram(kern, data.X))[::-1]
-        got = svgp.lambda_max_gap(kern, data.X, ops, tol=1e-6)
+        got = lambda_max(kern, data.X, ops, tol=1e-6)
         assert got == pytest.approx(w[7], rel=1e-6)
 
     def test_dense_oracle_random_points(self):
@@ -191,7 +199,7 @@ class TestLambdaMax:
         Z = data.X[inducing.uniform_subset(100, 10, 5)]
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
         dense = np.linalg.eigvalsh(kernels.gram(kern, data.X) - dense_qff(ops))[-1]
-        got = svgp.lambda_max_gap(kern, data.X, ops, tol=1e-6)
+        got = lambda_max(kern, data.X, ops, tol=1e-6)
         assert got == pytest.approx(dense, rel=1e-6)
 
     def test_bounded_by_trace(self):
@@ -200,12 +208,12 @@ class TestLambdaMax:
             Z = data.X[inducing.uniform_subset(60, 6, seed)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
             t = svgp.trace_gap(kern, data.X, ops)
-            lam = svgp.lambda_max_gap(kern, data.X, ops)
+            lam = lambda_max(kern, data.X, ops)
             assert 0.0 <= lam <= t * (1 + 1e-8)
 
     def test_estimate_above_trace_gap_raises(self):
         with pytest.raises(NumericalInconsistencyError, match="exceeds trace gap"):
-            svgp._lambda_max_from(np.eye(5), np.zeros((1, 5)), 0.5, 1.0)
+            svgp.lambda_max_gap(np.eye(5), np.zeros((1, 5)), 0.5, 1.0)
 
     def test_nearly_equal_leading_eigenvalues(self):
         # K's top direction is removed by A, leaving two residual eigenvalues
@@ -217,7 +225,7 @@ class TestLambdaMax:
         A = math.sqrt(2.0) * U[:, :1].T
         resid = K - A.T @ A
         dense = np.linalg.eigvalsh(0.5 * (resid + resid.T))[-1]
-        got = svgp._lambda_max_from(K, A, float(np.trace(resid)), 1.0)
+        got = svgp.lambda_max_gap(K, A, float(np.trace(resid)), 1.0)
         assert got == pytest.approx(dense, rel=1e-6)
 
     def test_ritz_value_at_most_dense_eigenvalue(self):
@@ -226,7 +234,7 @@ class TestLambdaMax:
             Z = data.X[inducing.uniform_subset(120, 4 + seed, seed)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
             dense = np.linalg.eigvalsh(kernels.gram(kern, data.X) - dense_qff(ops))[-1]
-            lam = svgp.lambda_max_gap(kern, data.X, ops)
+            lam = lambda_max(kern, data.X, ops)
             assert lam <= dense + 1e-12 * 120 * kern.variance
 
     @pytest.mark.parametrize("ell", [1.0, 2.0, 3.0])
@@ -240,7 +248,7 @@ class TestLambdaMax:
             X = np.random.default_rng(seed).normal(size=(30, 1))
             ops = svgp.feature_operators(svgp.Points(X[:m]), kern, X)
             exact = np.linalg.eigvalsh(kernels.gram(kern, X) - dense_qff(ops))[-1]
-            lam = svgp.lambda_max_gap(kern, X, ops)
+            lam = lambda_max(kern, X, ops)
             assert lam <= exact * (1 + 1e-9) + 1e-13
 
     @pytest.mark.parametrize("ell", [2.0, 3.0])
@@ -256,7 +264,7 @@ class TestLambdaMax:
             X = np.random.default_rng(seed).normal(size=(n, 1))
             ops = svgp.feature_operators(svgp.Points(X[:m]), kern, X)
             t = svgp.trace_gap(kern, X, ops)
-            assert 0.0 <= svgp.lambda_max_gap(kern, X, ops) <= t
+            assert 0.0 <= lambda_max(kern, X, ops) <= t
 
     def test_basis_cap_raises(self, monkeypatch):
         data, kern, _ = make_instance(11, n=100)
@@ -264,17 +272,15 @@ class TestLambdaMax:
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
         monkeypatch.setattr(svgp, "_KRYLOV_MAX_BASIS", svgp._KRYLOV_BLOCK)
         with pytest.raises(NoConvergenceError, match="basis columns"):
-            svgp.lambda_max_gap(kern, data.X, ops)
+            lambda_max(kern, data.X, ops)
 
-    def test_evaluate_reads_k_in_a_few_block_products(self):
+    def test_residual_reads_k_in_a_few_block_products(self):
         # fig4's setting at N=1000: SE, lengthscale 0.4, uniform inputs on
         # [0, 5], noise 0.1, M = ceil(2.8 ln N) = 20 points from the chain.
         kern = kernels.squared_exponential(1.0, [0.4])
-        noise = gp_exact.NoiseModel(0.1)
         X = np.random.default_rng(3).uniform(0.0, 5.0, (1000, 1))
-        dense = gp_exact.dense_system(X, kern, noise)
-        data = gp_exact.Dataset(X, gp_exact.sample_prior_outputs(dense, seed=4))
-        Z = X[inducing.kdpp_mcmc(dense.K, 20, 1500, seed=5)]
+        K = gp_exact.dense_gram(X, kern)
+        Z = X[inducing.kdpp_mcmc(K, 20, 1500, seed=5)]
         products = []
 
         class CountingGram(np.ndarray):
@@ -285,13 +291,10 @@ class TestLambdaMax:
                 inputs = [np.asarray(x) if isinstance(x, CountingGram) else x for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        counted = gp_exact.DenseSystem(dense.K.view(CountingGram), dense.noisy)
-        report = svgp.evaluate(data, kern, noise, svgp.Points(Z), counted)
+        res = svgp.residual(svgp.Points(Z), kern, X, K.view(CountingGram))
         assert 1 <= len(products) <= 4
         assert all(len(shape) == 2 and min(shape) > 1 for shape in products)
-        assert report.lambda_max_tilde == svgp.evaluate(
-            data, kern, noise, svgp.Points(Z), dense
-        ).lambda_max_tilde
+        assert res.lambda_max == svgp.residual(svgp.Points(Z), kern, X, K).lambda_max
 
 
 class TestUpperBounds:
@@ -300,7 +303,7 @@ class TestUpperBounds:
         ops = svgp.feature_operators(svgp.Points(data.X), kern, data.X)
         lml = gp_exact.log_marginal_likelihood(data, kern, noise)
         t = svgp.trace_gap(kern, data.X, ops)
-        lam = svgp.lambda_max_gap(kern, data.X, ops)
+        lam = lambda_max(kern, data.X, ops)
         # t is round-off-sized here, so the collapse holds to ~t * ||y||^2 / s^4.
         assert svgp.upper_bound(ops, data.y, noise, t) == pytest.approx(lml, abs=1e-5)
         assert svgp.refined_upper_bound(ops, data.y, noise, lam) == pytest.approx(
@@ -322,7 +325,7 @@ class TestUpperBounds:
             Z = data.X[inducing.uniform_subset(50, 8, seed)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
             t = svgp.trace_gap(kern, data.X, ops)
-            lam = svgp.lambda_max_gap(kern, data.X, ops)
+            lam = lambda_max(kern, data.X, ops)
             el = svgp.elbo(ops, data.y, noise)
             lml = gp_exact.log_marginal_likelihood(data, kern, noise)
             refined = svgp.refined_upper_bound(ops, data.y, noise, lam)
@@ -352,7 +355,7 @@ class TestUpperBounds:
         feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 5)
         ops = svgp.feature_operators(feats, kern, data.X)
         t = svgp.trace_gap(kern, data.X, ops)
-        lam = svgp.lambda_max_gap(kern, data.X, ops)
+        lam = lambda_max(kern, data.X, ops)
         assert lam < t
         refined = svgp.refined_upper_bound(ops, data.y, noise, lam)
         upper = svgp.upper_bound(ops, data.y, noise, t)
@@ -533,7 +536,7 @@ class TestKLExact:
             Z = data.X[inducing.uniform_subset(40, 6, seed)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
             t = svgp.trace_gap(kern, data.X, ops)
-            lam = svgp.lambda_max_gap(kern, data.X, ops)
+            lam = lambda_max(kern, data.X, ops)
             kl = svgp.kl_exact(data, kern, noise, ops)
             tight, loose = bounds.lemma1(t, lam, float(data.y @ data.y), noise.variance)
             if not (kl <= tight + 1e-10 and tight <= loose + 1e-12):
@@ -612,9 +615,11 @@ class TestEvaluate:
         Z = data.X[inducing.uniform_subset(40, 8, 0)]
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
         t = svgp.trace_gap(kern, data.X, ops)
-        lam = svgp.lambda_max_gap(kern, data.X, ops)
-        dense = gp_exact.dense_system(data.X, kern, noise)
-        report = svgp.evaluate(data, kern, noise, svgp.Points(Z), dense)
+        lam = lambda_max(kern, data.X, ops)
+        K = gp_exact.dense_gram(data.X, kern)
+        res = svgp.residual(svgp.Points(Z), kern, data.X, K)
+        dense = gp_exact.DenseSystem.from_gram(K, noise)
+        report = svgp.evaluate(data, noise, res, dense)
         assert report.t == t
         assert report.lambda_max_tilde == lam
         assert report.elbo == svgp.elbo(ops, data.y, noise)
@@ -632,6 +637,8 @@ class TestEvaluate:
 
     def test_system_of_other_inputs_rejected(self):
         data, kern, noise = make_instance(27, n=40)
+        K = gp_exact.dense_gram(data.X, kern)
+        res = svgp.residual(svgp.Points(data.X[:5]), kern, data.X, K)
         dense = gp_exact.dense_system(data.X[:30], kern, noise)
         with pytest.raises(DimensionMismatchError):
-            svgp.evaluate(data, kern, noise, svgp.Points(data.X[:5]), dense)
+            svgp.evaluate(data, noise, res, dense)
