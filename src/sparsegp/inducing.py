@@ -12,9 +12,11 @@ new M x M submatrix afresh when a swap is accepted, so the factor never
 carries the rounding of earlier edits.  Its draws come a block of steps at
 a time from one ``integers`` call, bit for bit what one
 ``integers``/``integers``/``random`` call per step returns, so the visited
-sets are a property of the stream alone.  Also provides the provable step
-budget for epsilon-close sampling, an exact enumerator used as a desk-scale
-oracle, and the two spectral feature families.
+sets are a property of the stream alone.  Every step of a block runs the same
+loop, whether or not the caller observes the chain through ``on_state``.
+Also provides the provable step budget for epsilon-close sampling, an exact
+enumerator used as a desk-scale oracle, and the two spectral feature
+families.
 
 Every triangular solve here, as everywhere in the library, goes through
 ``chol.solve_lower``, one direct LAPACK call per solve: at the chain's small
@@ -177,58 +179,50 @@ def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> Sa
     u < (1/2) min(1, det(K_T)/det(K_S)).  The draws come in blocks (see
     :func:`_draws`), so the chain visits the same sets as one made of those
     three calls per step.  The acceptance probability never exceeds 1/2, so
-    u >= 1/2 rejects without any linear algebra; without ``on_state`` such
-    steps are skipped in bulk.
-    Otherwise the ratio is read in closed form from the current factor L of
-    K_S: with ``k_Sj = K[S, j]``, ``c = L^-1 k_Sj``, ``d_j = K[j, j] - c.c``
-    and ``w = L^-T c``, det(K_T)/det(K_S) = d_j (K_S^-1)_ii + w_i^2.  A
+    u >= 1/2 rejects without any linear algebra.  Otherwise the ratio is
+    read in closed form from the current factor L of K_S: with
+    ``k_Sj = K[S, j]``, ``c = L^-1 k_Sj``, ``d_j = K[j, j] - c.c`` and
+    ``w = L^-T c``, det(K_T)/det(K_S) = d_j (K_S^-1)_ii + w_i^2.  A
     proposal whose residual pivot ``d(j | S-i) = ratio / (K_S^-1)_ii`` is at
     or below ``chol.PIVOT_FLOOR * K[j, j]`` has ratio 0 and is rejected.
     An accepted swap factors ``K[T, T]``, T = S - i + [j], afresh (one M x M
     Cholesky), so ``state.factor`` is always the factor of the current
     submatrix; a factor that fails or whose last pivot is at the floor
-    rejects the swap.  ``state.accepted`` counts accepted swaps.  A state
-    with no outsiders (M = N) raises MTooLargeError unless `steps` is 0.
+    rejects the swap.  ``state.step_count`` counts steps and
+    ``state.accepted`` accepted swaps.  ``on_state(state)``, when given, runs
+    once after every step, rejected steps included.  A negative `steps`, or
+    a state with no outsiders (M = N) and `steps` above 0, raises
+    MTooLargeError before anything is drawn.
     """
+    if steps < 0:
+        raise MTooLargeError("step count must be nonnegative")
     M = len(state.indices)
     n_out = state.complement.shape[0]
     if n_out == 0 and steps > 0:
         raise MTooLargeError("exchange chain needs M < N")
     inv_diag = _inverse_diagonal(state.factor)
     S = np.array(state.indices)
-
-    def propose(pos_i: int, pos_j: int, u: float) -> None:
-        nonlocal inv_diag, S
-        j = int(state.complement[pos_j])
-        k_jj = K.item(j, j)
-        L = state.factor.L
-        c = chol.solve_lower(L, K[S, j])
-        w = chol.solve_lower(L, c, transpose=True)
-        ratio = (k_jj - float(c @ c)) * inv_diag[pos_i] + w[pos_i] ** 2
-        if ratio / inv_diag[pos_i] <= chol.PIVOT_FLOOR * k_jj or u >= 0.5 * min(1.0, ratio):
-            return
-        f_T = _subset_factor(K, state.indices[:pos_i] + state.indices[pos_i + 1 :] + [j])
-        if f_T is None:
-            return
-        state.complement[pos_j] = state.indices.pop(pos_i)
-        state.indices.append(j)
-        state.factor = f_T
-        state.log_det = chol.log_det(f_T)
-        state.accepted += 1
-        S = np.array(state.indices)
-        inv_diag = _inverse_diagonal(f_T)
-
     for pos_i, pos_j, u in _draws(state.rng, M, n_out, steps):
-        if on_state is None:
-            for k in np.flatnonzero(u < 0.5).tolist():
-                propose(pos_i[k], pos_j[k], float(u[k]))
-            state.step_count += len(pos_i)
-            continue
-        for i, j, v in zip(pos_i, pos_j, u.tolist()):
-            if v < 0.5:
-                propose(i, j, v)
+        for i, p, v in zip(pos_i, pos_j, u.tolist()):
             state.step_count += 1
-            on_state(state)
+            if v < 0.5:
+                j = int(state.complement[p])
+                k_jj = K.item(j, j)
+                c = chol.solve_lower(state.factor.L, K[S, j])
+                w = chol.solve_lower(state.factor.L, c, transpose=True)
+                ratio = (k_jj - float(c @ c)) * inv_diag[i] + w[i] ** 2
+                if ratio / inv_diag[i] > chol.PIVOT_FLOOR * k_jj and v < 0.5 * min(1.0, ratio):
+                    f_T = _subset_factor(K, state.indices[:i] + state.indices[i + 1 :] + [j])
+                    if f_T is not None:
+                        state.complement[p] = state.indices.pop(i)
+                        state.indices.append(j)
+                        state.factor = f_T
+                        state.log_det = chol.log_det(f_T)
+                        state.accepted += 1
+                        S = np.array(state.indices)
+                        inv_diag = _inverse_diagonal(f_T)
+            if on_state is not None:
+                on_state(state)
     return state
 
 
@@ -247,8 +241,6 @@ def kdpp_mcmc(
     """
     if M >= K.shape[0]:
         raise MTooLargeError("exchange chain needs M < N")
-    if steps < 0:
-        raise MTooLargeError("step count must be nonnegative")
     state = init_sampler(K, M, seed, allow_truncation)
     advance(state, K, steps)
     return np.sort(np.asarray(state.indices))

@@ -261,12 +261,17 @@ def _log_bounds(A: np.ndarray, y: np.ndarray, noise_var: float):
     return L0, log_bound
 
 
+def _elbo_from(log_bound, t: float, noise_var: float) -> float:
+    # The collapsed bound: log_bound at the unshifted noise, less t / (2 noise).
+    return log_bound(0.0) - t / (2.0 * noise_var)
+
+
 def elbo(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> float:
     """Collapsed variational lower bound (optimal q(u)), computed in O(N M^2)."""
     y = np.asarray(y, dtype=float).ravel()
     A, _ = _whiten(ops)
     t = _trace_gap_from(ops.kff_diag, A)
-    return _log_bounds(A, y, noise.variance)[1](0.0) - t / (2.0 * noise.variance)
+    return _elbo_from(_log_bounds(A, y, noise.variance)[1], t, noise.variance)
 
 
 def upper_bound(ops: FeatureOperators, y, noise: gp_exact.NoiseModel, t: float) -> float:
@@ -382,7 +387,7 @@ def optimal_q(ops: FeatureOperators, y, noise: gp_exact.NoiseModel) -> Variation
     T = chol.solve_lower(LB, f_uu.L.T)
     Sigma = T.T @ T
     mu = T.T @ c / s2
-    lower = log_bound(0.0) - _trace_gap_from(ops.kff_diag, A) / (2.0 * s2)
+    lower = _elbo_from(log_bound, _trace_gap_from(ops.kff_diag, A), s2)
     return VariationalSolution(mu, 0.5 * (Sigma + Sigma.T), lower)
 
 
@@ -470,7 +475,7 @@ def evaluate(
         )
     s2 = noise.variance
     _, log_bound = _log_bounds(res.A, data.y, s2)
-    lower = log_bound(0.0) - res.t / (2.0 * s2)
+    lower = _elbo_from(log_bound, res.t, s2)
     return BoundReport(
         t=res.t,
         lambda_max_tilde=res.lambda_max,

@@ -136,6 +136,16 @@ class TestExchangeChain:
             inducing.advance(state, K, 1)
         assert _stream_position(state.rng) == before and state.step_count == 0
 
+    def test_negative_step_count_raises_before_drawing(self):
+        K = kernels.gram(se(ell=0.8), np.random.default_rng(2).normal(0, 1, (12, 1)))
+        state = inducing.init_sampler(K, 4, seed=5)
+        before = _stream_position(state.rng)
+        with pytest.raises(MTooLargeError, match="nonnegative"):
+            inducing.advance(state, K, -1)
+        assert _stream_position(state.rng) == before and state.step_count == 0
+        with pytest.raises(MTooLargeError, match="nonnegative"):
+            inducing.kdpp_mcmc(K, 4, -1, seed=5)
+
     def test_duplicate_location_never_entered(self):
         # One exact duplicate pair: no visited subset may contain both.
         X = np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.5]])
@@ -279,7 +289,7 @@ class TestClosedFormChain:
             inducing.kdpp_mcmc(kernels.gram(kern, X), M, 2000, seed), np.sort(reference[-1])
         )
 
-    @pytest.mark.parametrize("observed", [False, True], ids=["bulk", "on_state"])
+    @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
     def test_split_advance_calls_keep_reference_index_sets(self, observed):
         # Three advance calls of 700, 1 and 1299 steps continue one chain:
         # together they visit the sets of one 2000-step reference run.
