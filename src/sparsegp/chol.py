@@ -51,7 +51,7 @@ PIVOT_FLOOR = 1e-12
 _SYMMETRY_RTOL = 1e-10
 
 # Side of the square tiles the symmetry check reads; a matrix of at most this
-# size is checked in one pass.
+# size is one tile of the same loop.
 _SYMMETRY_TILE = 256
 
 
@@ -159,14 +159,12 @@ def _asymmetry_and_scale(A: np.ndarray) -> tuple[float, float]:
     tiles hold every value of the difference; each upper tile and its mirror
     are read together, so the two maxima come from one pass over A.  One
     tile-sized buffer is reused, so no N x N temporary is made; a NaN
-    anywhere gives NaN in both, as the one-pass forms do.
+    anywhere gives NaN in both.
     """
     m = A.shape[0]
     tile = _SYMMETRY_TILE
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the caller rejects
-        if m <= tile:
-            return np.max(np.abs(A - A.T)), np.max(np.abs(A))
-        buf = np.empty((tile, tile))
+        buf = np.empty((min(tile, m),) * 2)
         worst = peak = 0.0
         for i in range(0, m, tile):
             for j in range(i, m, tile):

@@ -92,8 +92,8 @@ def main(argv=None) -> int:
         for cfg in cfgs:
             csv_path = os.path.join(args.out_dir, cfg.out_csv)
             if args.command == "dispersion":
-                lines, nn = runners.run_dispersion_demo(cfg)
-                emit_selection_csv(lines, csv_path)
+                selections, nn = runners.run_dispersion_demo(cfg)
+                emit_selection_csv(selections, csv_path)
                 for label, dist in sorted(nn.items()):
                     print(f"{cfg.name}: mean nearest-neighbour distance {label}: {dist:.4f}")
                 print(f"{cfg.name}: wrote {csv_path}")

@@ -39,6 +39,9 @@ _DEFAULTS = {
 KNOWN_KEYS = frozenset(_DEFAULTS)
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
+# The dispersion demo's label per lengthscale; one experiment's labels must differ.
+DISPERSION_LABEL = "kdpp-ell={:g}"
+
 # Hard cap on exchange-chain steps when the provable mixing budget is larger.
 CHAIN_STEP_CAP = 20_000_000
 
@@ -215,7 +218,11 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         quadrature=read("quadrature", int, "a positive int", lambda q: q >= 1),
         record_timing=_BOOLEANS[_choice(section, "record_timing", _BOOLEANS)],
         dispersion_lengthscales=read(
-            "dispersion_lengthscales", _floats, "positive floats", lambda ls: all(l > 0 for l in ls)
+            "dispersion_lengthscales",
+            _floats,
+            f"positive floats with distinct {DISPERSION_LABEL} labels",
+            lambda ls: all(l > 0 for l in ls)
+            and len({DISPERSION_LABEL.format(l) for l in ls}) == len(ls),
         ),
         out_csv=read("out_csv", str, "a filename"),
         out_svg=read("out_svg", str, "a filename"),

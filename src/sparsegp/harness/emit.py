@@ -53,13 +53,17 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def emit_csv(rows: list[ResultRow], path: str) -> None:
-    """Write rows in the fixed column order; empty input gives a header-only file."""
+def _write_table(path: str, header, records) -> None:
+    """The one ``csv.writer`` of every table: a cell with a comma, quote or newline is quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_cell(getattr(row, col)) for col in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def emit_csv(rows: list[ResultRow], path: str) -> None:
+    """Write rows in the fixed column order; empty input gives a header-only file."""
+    _write_table(path, CSV_COLUMNS, ([_cell(getattr(r, c)) for c in CSV_COLUMNS] for r in rows))
 
 
 def parse_csv(path: str) -> list[ResultRow]:
@@ -87,18 +91,10 @@ def parse_csv(path: str) -> list[ResultRow]:
     return rows
 
 
-def selection_csv_line(run_id: str, method: str, seed: int, indices) -> str:
-    """Serialize a selected index set as `run-id,method,seed,sorted indices`."""
-    idx = " ".join(str(i) for i in sorted(int(i) for i in indices))
-    return f"{run_id},{method},{seed},{idx}"
-
-
-def emit_selection_csv(lines: list[str], path: str) -> None:
-    """Write pre-serialized `run-id,method,seed,indices` selection lines."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("run_id,method,seed,indices\n")
-        for line in lines:
-            fh.write(line + "\n")
+def emit_selection_csv(selections, path: str) -> None:
+    """Write ``(run_id, method, seed, indices)`` selections, indices sorted and space-separated."""
+    records = ((*key, " ".join(str(i) for i in sorted(map(int, idx)))) for *key, idx in selections)
+    _write_table(path, ("run_id", "method", "seed", "indices"), records)
 
 
 @dataclass(frozen=True)

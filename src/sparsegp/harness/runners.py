@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import bounds, gp_exact, inducing, kernels, svgp
 from ..errors import ConfigError
-from .config import ExperimentConfig
-from .emit import ResultRow, selection_csv_line
+from .config import DISPERSION_LABEL, ExperimentConfig
+from .emit import ResultRow
 
 _PHASE_DATA, _PHASE_OUTPUTS, _PHASE_SELECT = 0, 1, 2
 
@@ -225,30 +225,26 @@ def _mean_nn_distance(points: np.ndarray) -> float:
     return float(np.mean(np.min(d, axis=1)))
 
 
-def run_dispersion_demo(cfg: ExperimentConfig) -> tuple[list[str], dict[str, float]]:
+def run_dispersion_demo(cfg: ExperimentConfig) -> tuple[list[tuple], dict[str, float]]:
     """Compare the spread of exchange-chain selections against uniform picks.
 
-    Returns the selection CSV lines and the mean nearest-neighbour distance
-    per method, averaged over seeds.
+    Returns the ``(run_id, method, seed, indices)`` selections and the mean
+    nearest-neighbour distance per method, averaged over seeds.
     """
     n = cfg.n_grid[0]
     m = cfg.m_rule.resolve(n, cfg)
-    lines: list[str] = []
+    steps = cfg.chain_budget(n, m)
+    selections = []
     nn: dict[str, list[float]] = {}
     for seed in cfg.seeds:
         X = _cluster_sample(n, _derived_seed(seed, n, m, _PHASE_DATA))
+        select_seed = _derived_seed(seed, n, m, _PHASE_SELECT)
         picks: dict[str, np.ndarray] = {}
         for ell in cfg.dispersion_lengthscales:
             K = kernels.gram(dataclasses.replace(cfg.kernel, lengthscales=[ell]), X)
-            steps = cfg.chain_budget(n, m)
-            label = f"kdpp-ell={ell:g}"
-            picks[label] = inducing.kdpp_mcmc(
-                K, m, steps, _derived_seed(seed, n, m, _PHASE_SELECT)
-            )
-        picks["uniform"] = inducing.uniform_subset(
-            n, m, _derived_seed(seed, n, m, _PHASE_SELECT)
-        )
+            picks[DISPERSION_LABEL.format(ell)] = inducing.kdpp_mcmc(K, m, steps, select_seed)
+        picks["uniform"] = inducing.uniform_subset(n, m, select_seed)
         for label, idx in picks.items():
-            lines.append(selection_csv_line(cfg.name, label, seed, idx))
+            selections.append((cfg.name, label, seed, idx))
             nn.setdefault(label, []).append(_mean_nn_distance(X[idx]))
-    return lines, {label: float(np.mean(vals)) for label, vals in nn.items()}
+    return selections, {label: float(np.mean(vals)) for label, vals in nn.items()}

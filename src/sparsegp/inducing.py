@@ -71,15 +71,12 @@ def greedy_det_init(K: np.ndarray, M: int, allow_truncation: bool = False) -> np
     if not 1 <= M <= N:
         raise MTooLargeError(f"cannot choose {M} indices from {N}")
     diag = K.diagonal().copy()
-    resid = diag.copy()
+    resid = diag.copy()  # a chosen index reads -inf, so argmax skips it
     C = np.zeros((M, N))
     chosen: list[int] = []
     for step in range(M):
-        masked = resid.copy()
-        if chosen:
-            masked[chosen] = -np.inf
-        best = int(np.argmax(masked))
-        gain = float(masked[best])
+        best = int(np.argmax(resid))
+        gain = float(resid[best])
         if gain <= chol.PIVOT_FLOOR * diag[best]:
             if allow_truncation and step > 0:
                 break
@@ -88,6 +85,7 @@ def greedy_det_init(K: np.ndarray, M: int, allow_truncation: bool = False) -> np
             )
         C[step] = (K[:, best] - C[:step].T @ C[:step, best]) / math.sqrt(gain)
         resid -= C[step] * C[step]
+        resid[best] = -np.inf
         chosen.append(best)
     return np.asarray(chosen)
 

@@ -447,8 +447,7 @@ def nystrom_spectrum(
     # Nystrom extension: phi_m(x) = (1/lam_m) sum_q w_q k(x, x_q) u_qm / sqrt(w_q)
     ext = np.zeros((Q, M))
     ext[:, positive] = (sqw[:, None] * U[:, positive]) / lam[positive][None, :]
-    spec = NystromSpectrum(lam_out, nodes, weights, kernel, ext)
-    phi_nodes = spec.eigenfunctions(nodes)
+    phi_nodes = K @ ext  # the eigenfunctions at the nodes
     ortho = (phi_nodes * weights[:, None]).T @ phi_nodes
     err = np.max(np.abs(ortho[np.ix_(positive, positive)] - np.eye(int(positive.sum()))))
     if err > 1e-6:
@@ -456,4 +455,4 @@ def nystrom_spectrum(
     mercer = phi_nodes**2 @ lam_out
     if np.any(mercer > kernel.variance * (1.0 + 1e-3)):
         raise QuadratureTooCoarseError("Mercer partial sums exceed k(x,x) beyond tolerance")
-    return spec
+    return NystromSpectrum(lam_out, nodes, weights, kernel, ext)

@@ -1,5 +1,6 @@
 """Harness tests: config parsing, emission determinism, runners, CLI."""
 
+import csv
 import re
 import subprocess
 import sys
@@ -261,6 +262,28 @@ class TestConfigParsing:
         assert sorted(m.group(1) for m in listed) == sorted(outputs)
         assert len(set(outputs)) == len(outputs)
 
+    @pytest.mark.parametrize("ells", ["2 2.0", "0.1234567 0.1234568"])
+    def test_dispersion_labels_must_differ(self, ells):
+        # Both lists print as two equal kdpp-ell={:g} labels, so one demo
+        # selection would overwrite the other.
+        with pytest.raises(ConfigError, match="dispersion_lengthscales"):
+            config.parse_config_text(_with_line(SMOKE_CONFIG, f"dispersion_lengthscales = {ells}"))
+
+    def test_readme_regenerates_every_shipped_config(self):
+        # README's regeneration loop names each configs/*.cfg once, with the
+        # CLI subcommand of that file's experiments.
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        loops = re.findall(r"^for c in ([^;]*); do", readme, flags=re.MULTILINE)
+        assert len(loops) == 1, loops
+        listed = dict(entry.split(":") for entry in loops[0].split())
+        assert len(listed) == len(loops[0].split())
+        shipped = {
+            path.stem: {cfg.kind for cfg in config.parse_config(str(path))}
+            for path in (root / "configs").glob("*.cfg")
+        }
+        assert {name: {kind} for name, kind in listed.items()} == shipped
+
     def test_config_md_documents_exactly_the_known_keys(self):
         doc = CONFIG_MD.read_text(encoding="utf-8")
         documented = set(re.findall(r"^\| `(\w+)` \|", doc, flags=re.MULTILINE))
@@ -361,9 +384,34 @@ class TestCsvEmission:
 
 
 class TestSelectionSerialization:
-    def test_csv_line_format(self):
-        line = emit.selection_csv_line("fig2", "kdpp-ell=2", 7, np.array([9, 1, 4]))
+    def test_csv_line_format(self, tmp_path):
+        path = tmp_path / "sel.csv"
+        emit.emit_selection_csv([("fig2", "kdpp-ell=2", 7, np.array([9, 1, 4]))], str(path))
+        line = path.read_text(encoding="utf-8").splitlines()[1]
         assert line == "fig2,kdpp-ell=2,7,1 4 9"
+
+    def test_run_id_with_comma_and_quote_round_trips(self, tmp_path):
+        text = """
+[experiment:a,"b]
+kind = dispersion
+n_grid = 30
+m_rule = fixed
+m = 4
+chain_steps = 50
+seeds = 0 1
+out_csv = sel.csv
+"""
+        cfg_path = tmp_path / "sel.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert cli.main(["dispersion", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        selections, _ = runners.run_dispersion_demo(config.parse_config_text(text)[0])
+        with open(tmp_path / "sel.csv", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records[0] == ["run_id", "method", "seed", "indices"]
+        assert len(records) == 1 + len(selections) == 7
+        for record, (run_id, method, seed, idx) in zip(records[1:], selections, strict=True):
+            assert record == [run_id, method, str(seed), " ".join(map(str, sorted(idx)))]
+            assert run_id == 'a,"b'
 
 
 class TestSvgEmission:
@@ -448,6 +496,18 @@ class TestRunners:
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         with pytest.raises(DenseLimitExceededError):
             runners.run_grid(replace(cfg, n_grid=[gp_exact.DENSE_LIMIT + 1]))
+
+    def test_record_timing_fills_only_the_time_columns(self):
+        timed = runners.run_grid(
+            config.parse_config_text(_with_line(SMOKE_CONFIG, "record_timing = on"))[0]
+        )
+        untimed = runners.run_grid(config.parse_config_text(SMOKE_CONFIG)[0])
+        time_columns = ("time_select", "time_solve", "time_bounds")
+        rest = [col for col in emit.CSV_COLUMNS if col not in time_columns]
+        for on, off in zip(timed, untimed, strict=True):
+            assert 0 < on.time_select < np.inf and 0 < on.time_solve < np.inf
+            assert (off.time_select, off.time_solve, off.time_bounds) == (0.0, 0.0, 0.0)
+            assert [getattr(on, c) for c in rest] == [getattr(off, c) for c in rest]
 
     def test_determinism_across_runs(self):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
@@ -719,8 +779,8 @@ seeds = 0:100
 dispersion_lengthscales = 2.0 0.5
 """
         cfg = config.parse_config_text(text)[0]
-        lines, nn = runners.run_dispersion_demo(cfg)
-        assert len(lines) == 300
+        selections, nn = runners.run_dispersion_demo(cfg)
+        assert len(selections) == 300
         assert nn["kdpp-ell=2"] >= nn["kdpp-ell=0.5"] >= nn["uniform"]
 
     def test_selections_have_no_duplicates(self):
@@ -740,9 +800,9 @@ chain_steps = 300
 seeds = 0:5
 """
         cfg = config.parse_config_text(text)[0]
-        lines, _ = runners.run_dispersion_demo(cfg)
-        for line in lines:
-            idx = [int(tok) for tok in line.split(",")[3].split()]
+        selections, _ = runners.run_dispersion_demo(cfg)
+        for _, _, _, indices in selections:
+            idx = [int(i) for i in indices]
             assert len(idx) == len(set(idx)) == 8
 
 
