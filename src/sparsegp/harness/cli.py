@@ -63,11 +63,9 @@ def _load_experiments(args) -> list:
         cfgs = [replace(c, seeds=[s + args.seed_offset for s in c.seeds]) for c in cfgs]
         if min(s for c in cfgs for s in c.seeds) < 0:
             raise ConfigError(f"--seed-offset {args.seed_offset} makes a seed negative")
-    cfgs = [replace(c, out_csv=c.out_csv or f"{c.name}.csv") for c in cfgs]
     seen = {}  # output file -> the experiment that writes it
     for cfg in cfgs:
-        svg = None if args.command == "dispersion" else cfg.out_svg  # the demo writes no SVG
-        for path in filter(None, (cfg.out_csv, svg)):
+        for path in filter(None, (cfg.out_csv, cfg.out_svg)):
             key = os.path.normpath(path)
             if key in seen:
                 raise ConfigError(f"experiments {seen[key]!r} and {cfg.name!r} both write {path!r}")

@@ -93,7 +93,7 @@ class ExperimentConfig:
     quadrature: int
     record_timing: bool
     dispersion_lengthscales: list[float]
-    out_csv: str | None
+    out_csv: str
     out_svg: str | None
 
     def epsilon_at(self, n: int) -> float:
@@ -190,6 +190,7 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
     m_grid = read("m_grid", _ints, "positive ints", lambda ms: all(m >= 1 for m in ms))
     if kind == "m-sweep" and not m_grid:
         raise ConfigError("m-sweep experiments need a nonempty m_grid")
+    out_svg = read("out_svg", str, "a filename")
     return ExperimentConfig(
         name=name,
         kind=kind,
@@ -220,12 +221,13 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         dispersion_lengthscales=read(
             "dispersion_lengthscales",
             _floats,
-            f"positive floats with distinct {DISPERSION_LABEL} labels",
-            lambda ls: all(l > 0 for l in ls)
+            f"one or more positive floats with distinct {DISPERSION_LABEL} labels",
+            lambda ls: ls
+            and all(l > 0 for l in ls)
             and len({DISPERSION_LABEL.format(l) for l in ls}) == len(ls),
         ),
-        out_csv=read("out_csv", str, "a filename"),
-        out_svg=read("out_svg", str, "a filename"),
+        out_csv=read("out_csv", str, "a filename") or f"{name}.csv",
+        out_svg=None if kind == "dispersion" else out_svg,  # the demo writes no chart
     )
 
 

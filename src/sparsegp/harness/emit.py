@@ -143,6 +143,21 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     return [lo + i * step for i in range(5)]
 
 
+def _text(x, y, size, body, anchor="") -> str:
+    """Every SVG text element of a chart: position, optional anchor, font size, body."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}">{body}</text>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke="black", width="") -> str:
+    """Every SVG line element of a chart: two end points, stroke, optional width."""
+    width = f' stroke-width="{width}"' if width else ""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{width}/>'
+
+
 def render_svg(rows, spec: PlotSpec) -> str:
     """Render a line chart of per-x medians as a standalone SVG string."""
     series = _median_series(rows, spec)
@@ -151,15 +166,16 @@ def render_svg(rows, spec: PlotSpec) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{spec.title}</text>',
+        _text(_WIDTH // 2, 20, 14, spec.title, "middle"),
     ]
     if points:
         floor = 1e-300
         xs = [p[0] for p in points]
         ys = [max(p[1], floor) if spec.log_y else p[1] for p in points]
-        tx = (lambda v: math.log10(max(v, floor))) if spec.log_x else (lambda v: v)
-        ty = (lambda v: math.log10(max(v, floor))) if spec.log_y else (lambda v: v)
+        tx, ty = (
+            (lambda v: math.log10(max(v, floor))) if log else (lambda v: v)
+            for log in (spec.log_x, spec.log_y)
+        )
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if spec.log_y:
@@ -181,26 +197,14 @@ def render_svg(rows, spec: PlotSpec) -> str:
         )
         for tick in _ticks(x_lo, x_hi, spec.log_x):
             if x_lo <= tick <= x_hi:
-                x = px(tick)
-                parts.append(
-                    f'<line x1="{_fmt(x)}" y1="{_HEIGHT - _MB}" x2="{_fmt(x)}" '
-                    f'y2="{_HEIGHT - _MB + 5}" stroke="black"/>'
-                )
-                parts.append(
-                    f'<text x="{_fmt(x)}" y="{_HEIGHT - _MB + 18}" text-anchor="middle" '
-                    f'font-family="sans-serif" font-size="11">{tick:g}</text>'
-                )
+                x = _fmt(px(tick))
+                parts.append(_line(x, _HEIGHT - _MB, x, _HEIGHT - _MB + 5))
+                parts.append(_text(x, _HEIGHT - _MB + 18, 11, f"{tick:g}", "middle"))
         for tick in _ticks(y_lo, y_hi, spec.log_y):
             if y_lo <= tick <= y_hi * (1 + 1e-12):
                 y = py(tick)
-                parts.append(
-                    f'<line x1="{_ML - 5}" y1="{_fmt(y)}" x2="{_ML}" '
-                    f'y2="{_fmt(y)}" stroke="black"/>'
-                )
-                parts.append(
-                    f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-                    f'font-family="sans-serif" font-size="11">{tick:.3g}</text>'
-                )
+                parts.append(_line(_ML - 5, _fmt(y), _ML, _fmt(y)))
+                parts.append(_text(_ML - 8, _fmt(y + 4), 11, f"{tick:.3g}", "end"))
         for idx, (y_col, pts) in enumerate(series.items()):
             if not pts:
                 continue
@@ -210,19 +214,10 @@ def render_svg(rows, spec: PlotSpec) -> str:
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
             legend_y = _MT + 16 * idx + 12
-            parts.append(
-                f'<line x1="{_WIDTH - _MR - 130}" y1="{legend_y - 4}" '
-                f'x2="{_WIDTH - _MR - 110}" y2="{legend_y - 4}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-            parts.append(
-                f'<text x="{_WIDTH - _MR - 105}" y="{legend_y}" font-family="sans-serif" '
-                f'font-size="11">{y_col}</text>'
-            )
-        parts.append(
-            f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{spec.x}</text>'
-        )
+            key_x = _WIDTH - _MR - 130
+            parts.append(_line(key_x, legend_y - 4, key_x + 20, legend_y - 4, color, "1.5"))
+            parts.append(_text(key_x + 25, legend_y, 11, y_col))
+        parts.append(_text(_WIDTH // 2, _HEIGHT - 12, 12, spec.x, "middle"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

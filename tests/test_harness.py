@@ -1,6 +1,7 @@
 """Harness tests: config parsing, emission determinism, runners, CLI."""
 
 import csv
+import hashlib
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,6 +271,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="dispersion_lengthscales"):
             config.parse_config_text(_with_line(SMOKE_CONFIG, f"dispersion_lengthscales = {ells}"))
 
+    def test_empty_dispersion_lengthscales_rejected(self):
+        # With no lengthscale the demo would run no chain at all.
+        with pytest.raises(ConfigError, match="dispersion_lengthscales"):
+            config.parse_config_text(_with_line(SMOKE_CONFIG, "dispersion_lengthscales ="))
+
+    def test_parsing_resolves_the_output_files(self):
+        (cfg,) = config.parse_config_text(SMOKE_CONFIG.replace("out_csv = smoke.csv\n", ""))
+        assert (cfg.out_csv, cfg.out_svg) == ("smoke.csv", "smoke.svg")
+        # The dispersion demo writes no chart, whatever out_svg says.
+        demo_text = SMOKE_CONFIG.replace("kind = fixed-m", "kind = dispersion")
+        (demo,) = config.parse_config_text(_with_line(demo_text, "out_svg = x.svg"))
+        assert (demo.out_csv, demo.out_svg) == ("smoke.csv", None)
+
     def test_readme_regenerates_every_shipped_config(self):
         # README's regeneration loop names each configs/*.cfg once, with the
         # CLI subcommand of that file's experiments.
@@ -288,6 +303,20 @@ class TestConfigParsing:
         doc = CONFIG_MD.read_text(encoding="utf-8")
         documented = set(re.findall(r"^\| `(\w+)` \|", doc, flags=re.MULTILINE))
         assert documented == config.KNOWN_KEYS
+
+    def test_config_md_shows_the_defaults_config_uses(self):
+        # Split on unescaped bars only: a values cell such as `se` \| `matern`
+        # holds escaped ones.
+        doc = CONFIG_MD.read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `\w+` \|.*$", doc, flags=re.MULTILINE)
+        shown = {}
+        for row in rows:
+            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", row)]
+            assert len(cells) == 6, row  # empty, key, values, default, meaning, empty
+            shown[cells[1].strip("`")] = cells[3]
+        for key, default in config._DEFAULTS.items():
+            if default:
+                assert shown[key] == f"`{default}`", key
 
     def test_every_numeric_key_is_cast_when_parsed(self):
         # A key CONFIG.md documents as int or float rejects a non-number with
@@ -432,6 +461,42 @@ class TestSvgEmission:
     def test_empty_rows_still_valid_svg(self):
         s = emit.render_svg([], emit.PlotSpec(x="n", ys=("kl_exact",), title="empty"))
         assert s.startswith("<svg") and s.rstrip().endswith("</svg>")
+
+    @staticmethod
+    def _chart_rows():
+        # Three seeds at three (n, m) points.  kl_exact's median is 0.0 at the
+        # last point (a zero on a log axis), one lemma2_lo is None, and thm3
+        # has no point at all.
+        rows = []
+        for seed in range(3):
+            for i, (n, m) in enumerate(((50, 2), (200, 5), (800, 9))):
+                rows.append(
+                    SimpleNamespace(
+                        n=n,
+                        m=m,
+                        kl_exact=0.0 if i == 2 and seed < 2 else (1.5 + seed) / (i + 1) ** 2,
+                        lemma2_lo=None if (seed, i) == (1, 1) else 0.25 * (i + 1) + 0.1 * seed,
+                        lemma2_hi=0.5 * (i + 1) + 0.2 * seed,
+                        upper=3.0 / (i + 1) + 0.01 * seed,
+                        thm3=None,
+                        thm4=40.0 / (i + 1) ** 3 + seed,
+                    )
+                )
+        return rows
+
+    # The sha256 of each shipped plot spec's chart of ``_chart_rows``.  The
+    # bytes depend only on Python's float formatting and np.median, so they
+    # hold on any machine (the configs/SHA256SUMS charts also depend on BLAS).
+    CHART_SHA256 = {
+        "fixed-m": "813d2094278772a1f5c2d88f9d46ce6511c8288277e7aa461dd4305c883d2057",
+        "m-sweep": "5090f4bae793af5719d21f7d081993c72dc21d501d726068a5c663761e934a78",
+        "log-schedule": "6eeb9887b41c704da32d59874db5560b389424c0e9e18561637f3e2668589f53",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CHART_SHA256))
+    def test_chart_bytes_pinned(self, kind):
+        svg = emit.render_svg(self._chart_rows(), cli._PLOTS[kind])
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == self.CHART_SHA256[kind]
 
 
 class TestRunners:
