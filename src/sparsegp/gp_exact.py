@@ -7,9 +7,9 @@ prior mean is identically zero.  :func:`dense_system` builds the one
 caller that reads the Gram before it is factored builds it with
 :func:`dense_gram`, reads it, and then factors that same array in place with
 :meth:`DenseSystem.from_gram`, which consumes it.
-:func:`log_marginal_likelihood` and :func:`posterior` build their own;
-:func:`sample_prior_outputs` and :func:`sparsegp.svgp.evaluate` read one the
-caller built, so a harness cell draws y and evaluates from the same factor.
+:func:`posterior` builds its own; :func:`sample_prior_outputs` and
+:func:`log_marginal_likelihood` read one the caller built, so a harness
+dataset draws y and computes its log marginal likelihood from one factor.
 """
 
 from __future__ import annotations
@@ -104,12 +104,6 @@ class DenseSystem:
             raise
         return cls(noisy)
 
-    def log_marginal_likelihood(self, y) -> float:
-        """Log density of y under the zero-mean prior with noisy Gram K + noise*I."""
-        alpha = chol.solve_lower(self.noisy.L, y)
-        quad = float(alpha @ alpha)
-        return -0.5 * quad - 0.5 * chol.log_det(self.noisy) - 0.5 * len(y) * LOG_2PI
-
 
 def dense_gram(X, kernel: kernels.KernelSpec) -> np.ndarray:
     """The N x N Gram of an instance; refuses N above ``DENSE_LIMIT``."""
@@ -124,11 +118,11 @@ def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> DenseSyste
     return DenseSystem.from_gram(dense_gram(X, kernel), noise)
 
 
-def log_marginal_likelihood(
-    data: Dataset, kernel: kernels.KernelSpec, noise: NoiseModel
-) -> float:
+def log_marginal_likelihood(system: DenseSystem, y) -> float:
     """Log density of y under the zero-mean prior with noisy Gram K_ff + noise*I."""
-    return dense_system(data.X, kernel, noise).log_marginal_likelihood(data.y)
+    alpha = chol.solve_lower(system.noisy.L, y)
+    quad = float(alpha @ alpha)
+    return -0.5 * quad - 0.5 * chol.log_det(system.noisy) - 0.5 * len(y) * LOG_2PI
 
 
 def posterior(

@@ -190,7 +190,7 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
     m_grid = read("m_grid", _ints, "positive ints", lambda ms: all(m >= 1 for m in ms))
     if kind == "m-sweep" and not m_grid:
         raise ConfigError("m-sweep experiments need a nonempty m_grid")
-    out_svg = read("out_svg", str, "a filename")
+    out_svg = read("out_svg", str, "a nonempty filename", bool)
     return ExperimentConfig(
         name=name,
         kind=kind,
@@ -226,7 +226,7 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
             and all(l > 0 for l in ls)
             and len({DISPERSION_LABEL.format(l) for l in ls}) == len(ls),
         ),
-        out_csv=read("out_csv", str, "a filename") or f"{name}.csv",
+        out_csv=read("out_csv", str, "a nonempty filename", bool) or f"{name}.csv",
         out_svg=None if kind == "dispersion" else out_svg,  # the demo writes no chart
     )
 

@@ -142,7 +142,8 @@ def _run_dataset(
     # DENSE_LIMIT before any work).  Every selection reads it, an eigvec one
     # through one eigendecomposition at the largest M, and so does each
     # selection's whitening and lambda_max estimate; then the dense system
-    # factors K + s2 I in K's own memory, so a cell holds one N x N array.
+    # factors K + s2 I in K's own memory, so a cell holds one N x N array,
+    # and y and the dataset's one log marginal likelihood read that factor.
     # Each phase has its own seed, so the order changes no draw.
     t0 = time.perf_counter()
     K = gp_exact.dense_gram(X, cfg.kernel)
@@ -160,12 +161,12 @@ def _run_dataset(
     dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
     del K  # its memory is the factor's now
     y = gp_exact.sample_prior_outputs(dense, _derived_seed(seed, n, key_m, _PHASE_OUTPUTS))
-    data = gp_exact.Dataset(X, y)
+    lml = gp_exact.log_marginal_likelihood(dense, y)
     shared = t1 - t0 + time.perf_counter() - t2
     rows = []
     for ind, res, select_s, residual_s in picks:
         t3 = time.perf_counter()
-        report = svgp.evaluate(data, cfg.noise, res, dense)
+        report = svgp.evaluate(y, cfg.noise, res, lml)
         t4 = time.perf_counter()
         _fill_apriori(report, cfg, n, ind.count, tail)
         t5 = time.perf_counter()

@@ -12,8 +12,8 @@ The standalone bound functions (:func:`elbo`, :func:`upper_bound`, ...) each
 whiten; a report whitens once per inducing set, in two steps.
 :func:`residual` reads the noise-free Gram K before it is factored: it
 whitens, and computes the trace gap and the largest residual eigenvalue.
-:func:`evaluate` then reads the caller's dense system, which factors K in
-K's own memory, and the y drawn from it.
+:func:`evaluate` then reads the y drawn from the caller's dense system and
+their :func:`gp_exact.log_marginal_likelihood`, one solve per dataset.
 The largest residual eigenvalue (:func:`lambda_max_gap`) is a block Krylov
 Rayleigh-Ritz estimate: a few passes over K, each applying the residual
 K - A^T A to a block of vectors, and a lower estimate of lambda_max.
@@ -425,8 +425,8 @@ def kl_exact(
     Evaluated as (log marginal likelihood) - (collapsed bound); the dense
     N^3 baseline restricts this to N <= ``gp_exact.DENSE_LIMIT``.
     """
-    lml = gp_exact.log_marginal_likelihood(data, kernel, noise)
-    return _kl_from(lml, elbo(ops, data.y, noise))
+    system = gp_exact.dense_system(data.X, kernel, noise)
+    return _kl_from(gp_exact.log_marginal_likelihood(system, data.y), elbo(ops, data.y, noise))
 
 
 def _kl_from(lml: float, lower: float) -> float:
@@ -457,24 +457,20 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
 
 
 def evaluate(
-    data: gp_exact.Dataset,
-    noise: gp_exact.NoiseModel,
-    res: Residual,
-    dense: gp_exact.DenseSystem,
+    y: np.ndarray, noise: gp_exact.NoiseModel, res: Residual, lml: float
 ) -> BoundReport:
     """Compute the full certified-quantity report for one instance.
 
-    ``res`` is :func:`residual` of the inducing set at ``data.X``, and
-    ``dense`` the caller's dense system of the same inputs; every bound
-    reads ``res.A``, and the exact KL reads ``dense``.
+    ``res`` is :func:`residual` of the inducing set at the inputs of the
+    outputs ``y``, and ``lml`` their :func:`gp_exact.log_marginal_likelihood`;
+    every bound reads ``res.A``, and the exact KL reads ``lml``.
     """
-    if dense.noisy.dim != data.n or res.A.shape[1] != data.n:
+    if res.A.shape[1] != len(y):
         raise DimensionMismatchError(
-            f"dense system of size {dense.noisy.dim} and whitened operator of "
-            f"{res.A.shape[1]} columns for {data.n} observations"
+            f"whitened operator of {res.A.shape[1]} columns for {len(y)} observations"
         )
     s2 = noise.variance
-    _, log_bound = _log_bounds(res.A, data.y, s2)
+    _, log_bound = _log_bounds(res.A, y, s2)
     lower = _elbo_from(log_bound, res.t, s2)
     return BoundReport(
         t=res.t,
@@ -482,7 +478,7 @@ def evaluate(
         elbo=lower,
         upper=log_bound(res.t),
         upper_refined=log_bound(res.lambda_max),
-        kl_exact=_kl_from(dense.log_marginal_likelihood(data.y), lower),
-        norm_y_sq=float(data.y @ data.y),
+        kl_exact=_kl_from(lml, lower),
+        norm_y_sq=float(y @ y),
         jitter_used=res.jitter_used,
     )

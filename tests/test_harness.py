@@ -276,6 +276,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="dispersion_lengthscales"):
             config.parse_config_text(_with_line(SMOKE_CONFIG, "dispersion_lengthscales ="))
 
+    @pytest.mark.parametrize("key", ["out_csv", "out_svg"])
+    def test_empty_output_file_rejected(self, key):
+        # An empty value is read as written, not as the key's default.
+        with pytest.raises(ConfigError, match=key):
+            config.parse_config_text(_with_line(SMOKE_CONFIG, f"{key} = "))
+
     def test_parsing_resolves_the_output_files(self):
         (cfg,) = config.parse_config_text(SMOKE_CONFIG.replace("out_csv = smoke.csv\n", ""))
         assert (cfg.out_csv, cfg.out_svg) == ("smoke.csv", "smoke.svg")
@@ -580,12 +586,14 @@ class TestRunners:
 
     def test_one_dense_gram_and_factor_per_cell(self, monkeypatch):
         # The y draw, the lambda_max block products and the exact KL share
-        # one N x N Gram and one factor of K + s2 I, built once per dataset:
-        # once per (seed, N) cell, and once per seed for every M of an m-sweep.
+        # one N x N Gram, one factor of K + s2 I and one log marginal
+        # likelihood, built once per dataset: once per (seed, N) cell, and
+        # once per seed for every M of an m-sweep.
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         sweep = replace(cfg, kind="m-sweep", m_grid=[2, 5, 8])
         calls = Counter()
         gram, factor = kernels.gram, chol.factor
+        lml = gp_exact.log_marginal_likelihood
 
         def counting_gram(*args, **kwargs):
             K = gram(*args, **kwargs)
@@ -597,17 +605,24 @@ class TestRunners:
             calls["factor", f.L.shape] += 1
             return f
 
+        def counting_lml(system, y):
+            calls["lml", len(y)] += 1
+            return lml(system, y)
+
         monkeypatch.setattr(kernels, "gram", counting_gram)
         monkeypatch.setattr(chol, "factor", counting_factor)
+        monkeypatch.setattr(gp_exact, "log_marginal_likelihood", counting_lml)
         rows = runners.run_grid(cfg)
         assert len(rows) == len(cfg.seeds) * len(cfg.n_grid)
         for n in cfg.n_grid:
             assert calls["gram", (n, n)] == len(cfg.seeds)
             assert calls["factor", (n, n)] == len(cfg.seeds)
+            assert calls["lml", n] == len(cfg.seeds)
         calls.clear()
         assert len(runners.run_grid(sweep)) == len(cfg.seeds) * len(sweep.m_grid)
         n = sweep.n_grid[0]
         assert calls["gram", (n, n)] == calls["factor", (n, n)] == len(cfg.seeds)
+        assert calls["lml", n] == len(cfg.seeds)
 
     def test_one_dense_gram_per_eigvec_cell(self, monkeypatch):
         # Eigenvector features come from the cell's one N x N Gram, and their
@@ -668,19 +683,23 @@ class TestRunners:
     def test_outputs_drawn_from_the_evaluated_system(self, monkeypatch):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         seen = []
-        evaluate = svgp.evaluate
+        lml = gp_exact.log_marginal_likelihood
 
-        def capturing_evaluate(data, noise, res, dense):
-            seen.append((data, dense))
-            return evaluate(data, noise, res, dense)
+        def capturing_lml(system, y):
+            seen.append((system, y))
+            return lml(system, y)
 
-        monkeypatch.setattr(svgp, "evaluate", capturing_evaluate)
-        runners._run_dataset(cfg, 1, 40, [8], None)
-        (data, dense), = seen
+        monkeypatch.setattr(gp_exact, "log_marginal_likelihood", capturing_lml)
+        (row,) = runners._run_dataset(cfg, 1, 40, [8], None)
+        (dense, y), = seen
+        assert row.norm_y_sq == float(y @ y)
         seed = runners._derived_seed(1, 40, 8, runners._PHASE_OUTPUTS)
         z = np.random.default_rng(seed).standard_normal(40)
-        assert np.array_equal(data.y, dense.noisy.L @ z)
-        K = kernels.gram(cfg.kernel, data.X)
+        assert np.array_equal(y, dense.noisy.L @ z)
+        X = runners._draw_inputs(
+            cfg.density, 40, runners._derived_seed(1, 40, 8, runners._PHASE_DATA)
+        )
+        K = kernels.gram(cfg.kernel, X)
         assert np.array_equal(dense.noisy.L, chol.factor(K + cfg.noise.variance * np.eye(40)).L)
 
     def test_m_sweep_rows_of_a_seed_share_one_dataset(self):
@@ -726,7 +745,7 @@ class TestRunners:
             y = gp_exact.sample_prior_outputs(
                 dense, runners._derived_seed(row.seed, n, 0, runners._PHASE_OUTPUTS)
             )
-            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.noise, res, dense)
+            report = svgp.evaluate(y, cfg.noise, res, gp_exact.log_marginal_likelihood(dense, y))
             runners._fill_apriori(report, cfg, n, ind.count, None)
             assert asdict(report) == {k: getattr(row, k) for k in asdict(report)}
 
@@ -755,7 +774,7 @@ class TestRunners:
             y = gp_exact.sample_prior_outputs(
                 dense, runners._derived_seed(seed, n, m, runners._PHASE_OUTPUTS)
             )
-            report = svgp.evaluate(gp_exact.Dataset(X, y), cfg.noise, res, dense)
+            report = svgp.evaluate(y, cfg.noise, res, gp_exact.log_marginal_likelihood(dense, y))
             runners._fill_apriori(report, cfg, n, ind.count, tail)
             expected = emit.ResultRow(
                 **asdict(report),
