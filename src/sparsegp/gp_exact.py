@@ -5,8 +5,10 @@ schedule; the jitter actually used is visible on the returned factors.  The
 prior mean is identically zero.  :func:`dense_system` builds the one
 :class:`DenseSystem` of an instance and refuses N above ``DENSE_LIMIT``; a
 caller that reads the Gram before it is factored builds it with
-:func:`dense_gram`, reads it, and then factors that same array in place with
-:meth:`DenseSystem.from_gram`, which consumes it.
+:func:`dense_gram` (a packed lower triangle, ``chol.Packed``), reads it, and
+then factors it in its own storage with :meth:`DenseSystem.from_gram`, which
+consumes it.  The factor stays packed: solves against it run in that
+storage, and a prior draw applies it by column panels.
 :func:`posterior` builds its own; :func:`sample_prior_outputs` and
 :func:`log_marginal_likelihood` read one the caller built, so a harness
 dataset draws y and computes its log marginal likelihood from one factor.
@@ -30,7 +32,8 @@ from .errors import (
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Largest N for which the O(N^3) dense system is built; its peak memory is
-# one N x N array, 200 MB at the limit, as the factor takes K's memory.
+# one packed lower triangle, N(N+1)/2 floats: 100 MB at the limit, as the
+# factor takes the packed Gram's storage.
 DENSE_LIMIT = 5000
 
 
@@ -73,44 +76,46 @@ class NoiseModel:
 class DenseSystem:
     """The factor of K + noise*I for an instance's noise-free Gram K, built once.
 
-    The factor is computed in K's own memory, so the system holds one N x N
-    array; whatever reads K itself (a selection, the lambda_max estimate)
-    runs before the system is built.
+    The factor is computed in K's own packed storage, so the system holds one
+    packed N x N triangle; whatever reads K itself (a selection, the
+    lambda_max estimate) runs before the system is built.
     """
 
     noisy: chol.LowerFactor
 
     @classmethod
-    def from_gram(cls, K: np.ndarray, noise: NoiseModel) -> "DenseSystem":
-        """Factor ``K + noise*I`` in the memory of a built Gram K, which is consumed.
+    def from_gram(cls, K: np.ndarray | chol.Packed, noise: NoiseModel) -> "DenseSystem":
+        """Factor ``K + noise*I`` in the storage of a packed Gram K, which is consumed.
 
-        K must be a contiguous float64 array.  On success it holds the factor
-        (``noisy.L`` is a view of it) and must not be read as a Gram again; if
-        the factor fails, K is left as it was.
+        On success K's storage holds the factor (``noisy.L`` shares it) and K
+        must not be read as a Gram again; if the factor fails, K is left as
+        it was.  A full array enters through ``chol.as_packed``: it is
+        checked, packed into new storage, and never written.
 
         Raises
         ------
         NotFactorizableError
             If K holds a non-finite entry, or if every jitter level fails.
         AsymmetricInputError
-            If K is not symmetric within ``chol.factor``'s tolerance.
+            If a full K is not symmetric within ``chol.factor``'s tolerance.
         """
-        k_diag = K.diagonal().copy()
-        np.fill_diagonal(K, k_diag + noise.variance)
+        K = chol.as_packed(K)
+        k_diag = K.diagonal()
+        K.fill_diagonal(k_diag + noise.variance)
         try:
             noisy = chol.factor(K, overwrite_a=True)
         except SparseGPError:
-            np.fill_diagonal(K, k_diag)
+            K.fill_diagonal(k_diag)
             raise
         return cls(noisy)
 
 
-def dense_gram(X, kernel: kernels.KernelSpec) -> np.ndarray:
-    """The N x N Gram of an instance; refuses N above ``DENSE_LIMIT``."""
+def dense_gram(X, kernel: kernels.KernelSpec) -> chol.Packed:
+    """The packed N x N Gram of an instance; refuses N above ``DENSE_LIMIT``."""
     n = len(X)
     if n > DENSE_LIMIT:
         raise DenseLimitExceededError(f"N={n} exceeds the dense limit {DENSE_LIMIT}")
-    return kernels.gram(kernel, X)
+    return kernels.gram(kernel, X, packed=True)
 
 
 def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> DenseSystem:

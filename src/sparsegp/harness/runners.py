@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .. import bounds, gp_exact, inducing, kernels, svgp
+from .. import bounds, chol, gp_exact, inducing, kernels, svgp
 from ..errors import ConfigError
 from .config import DISPERSION_LABEL, ExperimentConfig
 from .emit import ResultRow
@@ -42,14 +42,14 @@ def _draw_inputs(density: kernels.DensitySpec, n: int, seed: int) -> np.ndarray:
 
 
 def _select_inducing(
-    cfg: ExperimentConfig, X: np.ndarray, K: np.ndarray, m: int, seed: int, top=None
+    cfg: ExperimentConfig, X: np.ndarray, K, m: int, seed: int, top
 ) -> svgp.InducingSet:
     """Build the configured inducing set from X and its Gram K; may return fewer than m features.
 
     Point selections truncate to the numerical rank of the Gram matrix when
     a schedule asks for more columns than are numerically independent; the
     realized size is what gets reported.  An eigvec selection slices ``top``
-    (K's features at some M >= m) when given it.
+    (K's features at some M >= m); other methods get None.
     """
     n = X.shape[0]
     if cfg.method == "points-uniform":
@@ -65,7 +65,6 @@ def _select_inducing(
         idx = inducing.kdpp_mcmc(K, m, steps, seed, allow_truncation=True)
         return svgp.Points(X[idx])
     if cfg.method == "eigvec":
-        top = top or inducing.eigenvector_features(K, X, m)
         return svgp.EigenvectorFeatures(top.lambdas[:m], top.W[:, :m], X)
     if cfg.method == "eigfunc":
         return inducing.eigenfunction_features(cfg.kernel, cfg.density, m, cfg.quadrature)
@@ -138,12 +137,13 @@ def _run_dataset(
     """One row per M in ``ms``, every M read from one dataset of n points."""
     key_m = 0 if cfg.kind == "m-sweep" else ms[0]
     X = _draw_inputs(cfg.density, n, _derived_seed(seed, n, key_m, _PHASE_DATA))
-    # The dataset's one N x N Gram is built first (dense_gram refuses N above
-    # DENSE_LIMIT before any work).  Every selection reads it, an eigvec one
-    # through one eigendecomposition at the largest M, and so does each
-    # selection's whitening and lambda_max estimate; then the dense system
-    # factors K + s2 I in K's own memory, so a cell holds one N x N array,
-    # and y and the dataset's one log marginal likelihood read that factor.
+    # The dataset's one N x N Gram is built first, packed (dense_gram refuses
+    # N above DENSE_LIMIT before any work).  Every selection reads it, an
+    # eigvec one through one eigendecomposition at the largest M, and so does
+    # each selection's whitening and lambda_max estimate; then the dense
+    # system factors K + s2 I in K's own storage, so a cell holds one packed
+    # triangle, and y and the dataset's one log marginal likelihood read
+    # that factor.
     # Each phase has its own seed, so the order changes no draw.
     t0 = time.perf_counter()
     K = gp_exact.dense_gram(X, cfg.kernel)
@@ -152,7 +152,12 @@ def _run_dataset(
     for m in ms:
         start = time.perf_counter()
         if cfg.method == "eigvec" and top is None:
+            # The eigensolver reads a full N x N Gram.  The packed one is
+            # dropped while it runs and packed again from the full one, which
+            # the packed Gram keeps as its source until it is factored.
+            K = K.unpack()
             top = inducing.eigenvector_features(K, X, max(ms))
+            K = chol.as_packed(K)
         ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT), top)
         selected = time.perf_counter()
         res = svgp.residual(ind, cfg.kernel, X, K)
@@ -242,7 +247,8 @@ def run_dispersion_demo(cfg: ExperimentConfig) -> tuple[list[tuple], dict[str, f
         select_seed = _derived_seed(seed, n, m, _PHASE_SELECT)
         picks: dict[str, np.ndarray] = {}
         for ell in cfg.dispersion_lengthscales:
-            K = kernels.gram(dataclasses.replace(cfg.kernel, lengthscales=[ell]), X)
+            kernel = dataclasses.replace(cfg.kernel, lengthscales=[ell])
+            K = kernels.gram(kernel, X, packed=True)
             picks[DISPERSION_LABEL.format(ell)] = inducing.kdpp_mcmc(K, m, steps, select_seed)
         picks["uniform"] = inducing.uniform_subset(n, m, select_seed)
         for label, idx in picks.items():

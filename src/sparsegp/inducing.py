@@ -5,15 +5,18 @@ maximization, and a lazy Metropolis exchange chain whose stationary law is
 the k-DPP over principal submatrices of the training Gram matrix.  The
 greedy start and the chain read every covariance from that Gram matrix,
 which the caller builds once (a harness cell shares it with its dense
-system), so they make no kernel evaluations of their own.  The chain keeps a
-Cholesky factor of the current submatrix, reads each swap's determinant
-ratio in closed form from two triangular solves against it, and factors the
-new M x M submatrix afresh when a swap is accepted, so the factor never
-carries the rounding of earlier edits.  Its draws come a block of steps at
-a time from one ``integers`` call, bit for bit what one
-``integers``/``integers``/``random`` call per step returns, so the visited
-sets are a property of the stream alone.  Every step of a block runs the same
-loop, whether or not the caller observes the chain through ``on_state``.
+system), so they make no kernel evaluations of their own; they read it
+through ``chol.as_packed``, so a full array passes the symmetry check once
+and is read as packed.  The chain keeps the Gram rows of its current
+members and a Cholesky factor of their submatrix, reads each swap's
+determinant ratio in closed form from two triangular solves against it, and
+on an accepted swap reads the incoming row and factors the new M x M
+submatrix afresh, so the factor never carries the rounding of earlier
+edits.  Its draws come a block of steps at a time from one ``integers``
+call, bit for bit what one ``integers``/``integers``/``random`` call per
+step returns, so the visited sets are a property of the stream alone.
+Every step of a block runs the same loop, whether or not the caller
+observes the chain through ``on_state``.
 Also provides the provable step budget for epsilon-close sampling, an exact
 enumerator used as a desk-scale oracle, and the two spectral feature
 families.
@@ -57,7 +60,9 @@ def uniform_subset(N: int, M: int, seed: int) -> np.ndarray:
     return np.sort(_rng(seed).choice(N, size=M, replace=False))
 
 
-def greedy_det_init(K: np.ndarray, M: int, allow_truncation: bool = False) -> np.ndarray:
+def greedy_det_init(
+    K: np.ndarray | chol.Packed, M: int, allow_truncation: bool = False
+) -> np.ndarray:
     """Greedy max-determinant initialization over the Gram K, in selection order.
 
     Each step adds the index maximizing the determinant of the resulting
@@ -67,10 +72,11 @@ def greedy_det_init(K: np.ndarray, M: int, allow_truncation: bool = False) -> np
     DegenerateKernelError; ``allow_truncation`` instead returns the shorter
     selection that exhausted the numerically independent columns.
     """
-    N = K.shape[0]
+    K = chol.as_packed(K)
+    N = K.dim
     if not 1 <= M <= N:
         raise MTooLargeError(f"cannot choose {M} indices from {N}")
-    diag = K.diagonal().copy()
+    diag = K.diagonal()
     resid = diag.copy()  # a chosen index reads -inf, so argmax skips it
     C = np.zeros((M, N))
     chosen: list[int] = []
@@ -83,24 +89,32 @@ def greedy_det_init(K: np.ndarray, M: int, allow_truncation: bool = False) -> np
             raise DegenerateKernelError(
                 f"only {step} independent columns available, {M} requested"
             )
-        C[step] = (K[:, best] - C[:step].T @ C[:step, best]) / math.sqrt(gain)
+        C[step] = (K.column(best) - C[:step].T @ C[:step, best]) / math.sqrt(gain)
         resid -= C[step] * C[step]
         resid[best] = -np.inf
         chosen.append(best)
     return np.asarray(chosen)
 
 
-def _subset_factor(K: np.ndarray, T) -> chol.LowerFactor | None:
-    # Fresh Cholesky factor of K[T, T], with no jitter; None when LAPACK
-    # fails or the last pivot is at chol.append_index's rejection floor.
-    T = np.asarray(T)
+def _subset_factor(K_T: np.ndarray) -> chol.LowerFactor | None:
+    # Fresh Cholesky factor of a principal submatrix K_T = K[T, T], with no
+    # jitter; None when LAPACK fails or the last pivot is at
+    # chol.append_index's rejection floor.
     try:
-        L = np.linalg.cholesky(K[T[:, None], T])
+        L = np.linalg.cholesky(K_T)
     except np.linalg.LinAlgError:
         return None
-    if L[-1, -1] ** 2 <= chol.PIVOT_FLOOR * K[T[-1], T[-1]]:
+    if L[-1, -1] ** 2 <= chol.PIVOT_FLOOR * K_T[-1, -1]:
         return None
     return chol.LowerFactor(L)
+
+
+def _member_rows(K: chol.Packed, members: list[int], spare: int = 0) -> np.ndarray:
+    # (len(members) + spare) x N: the Gram row (= column) of each member, in order.
+    rows = np.empty((len(members) + spare, K.dim))
+    for s, member in enumerate(members):
+        K.column(member, out=rows[s])
+    return rows
 
 
 @dataclass
@@ -122,14 +136,15 @@ class SamplerState:
 
 
 def init_sampler(
-    K: np.ndarray, M: int, seed: int, allow_truncation: bool = False
+    K: np.ndarray | chol.Packed, M: int, seed: int, allow_truncation: bool = False
 ) -> SamplerState:
     """Greedy-initialized chain state over the rows of the Gram K."""
+    K = chol.as_packed(K)
     chosen = greedy_det_init(K, M, allow_truncation).tolist()
-    f = _subset_factor(K, chosen)
+    f = _subset_factor(_member_rows(K, chosen)[:, chosen])
     if f is None:
         raise DegenerateKernelError("the greedy set's Gram submatrix is not positive definite")
-    in_set = np.zeros(K.shape[0], dtype=bool)
+    in_set = np.zeros(K.dim, dtype=bool)
     in_set[chosen] = True
     return SamplerState(
         indices=chosen,
@@ -168,7 +183,9 @@ def _draws(rng: np.random.Generator, M: int, n_out: int, steps: int):
         yield D[:, 0].tolist(), D[:, 1].tolist(), D[:, 2] * 2.0**-53
 
 
-def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> SamplerState:
+def advance(
+    state: SamplerState, K: np.ndarray | chol.Packed, steps: int, on_state=None
+) -> SamplerState:
     """Run `steps` transitions of the lazy exchange chain on the Gram K, mutating `state`.
 
     Each transition draws a member position i (``integers(M)``), an
@@ -179,13 +196,15 @@ def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> Sa
     three calls per step.  The acceptance probability never exceeds 1/2, so
     u >= 1/2 rejects without any linear algebra.  Otherwise the ratio is
     read in closed form from the current factor L of K_S: with
-    ``k_Sj = K[S, j]``, ``c = L^-1 k_Sj``, ``d_j = K[j, j] - c.c`` and
+    ``k_Sj = K[S, j]`` (from the members' Gram rows, which the chain keeps),
+    ``c = L^-1 k_Sj``, ``d_j = K[j, j] - c.c`` and
     ``w = L^-T c``, det(K_T)/det(K_S) = d_j (K_S^-1)_ii + w_i^2.  A
     proposal whose residual pivot ``d(j | S-i) = ratio / (K_S^-1)_ii`` is at
     or below ``chol.PIVOT_FLOOR * K[j, j]`` has ratio 0 and is rejected.
-    An accepted swap factors ``K[T, T]``, T = S - i + [j], afresh (one M x M
-    Cholesky), so ``state.factor`` is always the factor of the current
-    submatrix; a factor that fails or whose last pivot is at the floor
+    An accepted swap reads row j of K and factors ``K[T, T]``,
+    T = S - i + [j], afresh (one M x M Cholesky), so ``state.factor`` is
+    always the factor of the current submatrix; a factor that fails or whose
+    last pivot is at the floor
     rejects the swap.  ``state.step_count`` counts steps and
     ``state.accepted`` accepted swaps.  ``on_state(state)``, when given, runs
     once after every step, rejected steps included.  A negative `steps`, or
@@ -198,26 +217,36 @@ def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> Sa
     n_out = state.complement.shape[0]
     if n_out == 0 and steps > 0:
         raise MTooLargeError("exchange chain needs M < N")
+    K = chol.as_packed(K)
+    diag = K.diagonal()
     inv_diag = _inverse_diagonal(state.factor)
-    S = np.array(state.indices)
+    # Member k's Gram row is row slots[k] of `rows`; row `spare` takes a
+    # proposed incoming one, and a swap frees the outgoing one's.
+    rows = _member_rows(K, state.indices, spare=1)
+    slots, spare = list(range(M)), M
+    S = np.array(slots)
     for pos_i, pos_j, u in _draws(state.rng, M, n_out, steps):
         for i, p, v in zip(pos_i, pos_j, u.tolist()):
             state.step_count += 1
             if v < 0.5:
                 j = int(state.complement[p])
-                k_jj = K.item(j, j)
-                c = chol.solve_lower(state.factor.L, K[S, j])
+                k_jj = diag.item(j)
+                c = chol.solve_lower(state.factor.L, rows[S, j])
                 w = chol.solve_lower(state.factor.L, c, transpose=True)
                 ratio = (k_jj - float(c @ c)) * inv_diag[i] + w[i] ** 2
                 if ratio / inv_diag[i] > chol.PIVOT_FLOOR * k_jj and v < 0.5 * min(1.0, ratio):
-                    f_T = _subset_factor(K, state.indices[:i] + state.indices[i + 1 :] + [j])
+                    K.column(j, out=rows[spare])
+                    T = state.indices[:i] + state.indices[i + 1 :] + [j]
+                    T_slots = slots[:i] + slots[i + 1 :] + [spare]
+                    f_T = _subset_factor(rows[np.array(T_slots)[None, :], np.array(T)[:, None]])
                     if f_T is not None:
                         state.complement[p] = state.indices.pop(i)
                         state.indices.append(j)
                         state.factor = f_T
                         state.log_det = chol.log_det(f_T)
                         state.accepted += 1
-                        S = np.array(state.indices)
+                        slots, spare = T_slots, slots[i]
+                        S = np.array(slots)
                         inv_diag = _inverse_diagonal(f_T)
             if on_state is not None:
                 on_state(state)
@@ -225,7 +254,7 @@ def advance(state: SamplerState, K: np.ndarray, steps: int, on_state=None) -> Sa
 
 
 def kdpp_mcmc(
-    K: np.ndarray,
+    K: np.ndarray | chol.Packed,
     M: int,
     steps: int,
     seed: int,
@@ -237,7 +266,8 @@ def kdpp_mcmc(
     fixed seed.  Use :func:`mixing_steps` for the budget that provably gets
     within a prescribed total-variation distance of the exact k-DPP.
     """
-    if M >= K.shape[0]:
+    K = chol.as_packed(K)
+    if M >= K.dim:
         raise MTooLargeError("exchange chain needs M < N")
     state = init_sampler(K, M, seed, allow_truncation)
     advance(state, K, steps)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.special import roots_hermite, roots_legendre
 
+from . import chol
 from .errors import (
     DimensionMismatchError,
     InvalidHyperparameterError,
@@ -170,7 +172,7 @@ def _check_dims(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
 _GRAM_TILE = 32768
 
 
-def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
+def gram(kernel: KernelSpec, X, X2=None, packed: bool = False) -> np.ndarray | chol.Packed:
     """Gram matrix of the kernel between rows of X and X2.
 
     With ``X2=None`` the square Gram of X is returned.  It is exactly
@@ -180,8 +182,20 @@ def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
     tile through two tile-sized buffers, so no temporary as large as the
     result is made; every entry gets the same elementwise operations as the
     whole-array formula, so tiling changes no bit.
+
+    With ``packed`` (and no X2) the square Gram is a :class:`chol.Packed`
+    holding its lower triangle alone, N(N+1)/2 floats with the same bits as
+    the full array's, written tile by tile; its ``source`` computes them
+    again from the kernel and X.
     """
     X = _check_dims(kernel, X)
+    if packed:
+        if X2 is not None:
+            raise DimensionMismatchError("a packed Gram is the square Gram of X alone")
+        n = X.shape[0]
+        K = chol.Packed(np.empty(n * (n + 1) // 2), n, source=partial(_write_packed, kernel, X))
+        K.refill()
+        return K
     X2m = X if X2 is None else _check_dims(kernel, X2)
     K = np.empty((X.shape[0], X2m.shape[0]))
     rows = max(1, _GRAM_TILE // max(1, K.shape[1]))
@@ -190,11 +204,32 @@ def gram(kernel: KernelSpec, X, X2=None) -> np.ndarray:
     for r in range(0, K.shape[0], rows):
         out = K[r : r + rows]
         t = out.shape[0]
-        if kernel.family == SQUARED_EXPONENTIAL:
-            _se_rows(kernel, X[r : r + t], X2m, out, a[:t])
-        else:
-            _matern_rows(kernel, X[r : r + t], X2m, out, a[:t], b[:t])
+        _rows(kernel, X[r : r + t], X2m, out, a[:t], b[:t])
     return K
+
+
+def _write_packed(kernel: KernelSpec, X: np.ndarray, K: chol.Packed) -> None:
+    # The Gram of X into K's storage, a tile of rows at a time through three
+    # tile-sized buffers (the tile's result and the two _rows buffers).
+    n = X.shape[0]
+    rows = max(1, min(_GRAM_TILE // max(1, n), (n + 1) // 2))  # the storage has ceil(n/2) rows
+    buffers = [np.empty(rows * n) for _ in range(3)]
+
+    def block(r: slice, c: slice) -> np.ndarray:
+        shape = (len(X[r]), len(X[c]))
+        out, a, b = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+        _rows(kernel, X[r], X[c], out, a, b)
+        return out
+
+    K.write(block, rows)
+
+
+def _rows(kernel: KernelSpec, X, X2, out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    # k(x, x2) for the rows of X against those of X2, through buffers of out's shape.
+    if kernel.family == SQUARED_EXPONENTIAL:
+        _se_rows(kernel, X, X2, out, a)
+    else:
+        _matern_rows(kernel, X, X2, out, a, b)
 
 
 def _se_rows(kernel: KernelSpec, X, X2, out: np.ndarray, diff: np.ndarray) -> None:

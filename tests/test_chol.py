@@ -303,6 +303,111 @@ class TestFactorInPlace:
         assert "consumed" in gp_exact.DenseSystem.from_gram.__doc__
 
 
+def _packed_gram(n, repeat=1):
+    X = np.repeat(np.random.default_rng(n).normal(size=(-(-n // repeat), 1)), repeat, axis=0)[:n]
+    kern = kernels.squared_exponential(1.0, [0.5])
+    return kernels.gram(kern, X), kernels.gram(kern, X, packed=True)
+
+
+class TestPacked:
+    """A Gram and its factor held in RFP storage (chol.Packed)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 257])
+    def test_columns_and_diagonal_are_the_full_arrays(self, n):
+        K, packed = _packed_gram(n)
+        assert np.array_equal(packed.diagonal(), np.diag(K))
+        for j in range(n):
+            assert np.array_equal(packed.column(j), K[:, j])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 257, 600])
+    def test_panel_products(self, n):
+        K, packed = _packed_gram(n)
+        rng = np.random.default_rng(n)
+        for V in (rng.standard_normal(n), rng.standard_normal((n, 8))):
+            exact = K @ V
+            assert np.max(np.abs(packed @ V - exact)) <= 1e-13 * np.max(np.abs(exact))
+        L = chol.factor(packed).L
+        z = rng.standard_normal(n)
+        exact = L.unpack() @ z
+        assert np.max(np.abs(L @ z - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 257, 600])
+    def test_factor_rebuilds_the_noisy_gram(self, n):
+        K, packed = _packed_gram(n)
+        system = gp_exact.DenseSystem.from_gram(packed, gp_exact.NoiseModel(0.1))
+        f = system.noisy
+        assert f.jitter_used == 0.0 and f.dim == n
+        assert np.shares_memory(f.L.rfp, packed.rfp)
+        L = f.L.unpack()
+        assert np.array_equal(L, np.tril(L))
+        noisy = K + 0.1 * np.eye(n)
+        assert np.max(np.abs(L @ L.T - noisy)) <= 1e-12 * np.max(np.abs(noisy))
+        b = np.random.default_rng(n).standard_normal((n, 3))
+        for transpose in (False, True):
+            x = chol.solve_lower(f.L, b, transpose=transpose)
+            assert np.allclose((L.T if transpose else L) @ x, b, rtol=0.0, atol=1e-10)
+        assert chol.solve_lower(f.L, b[:, 0]).shape == (n,)
+        assert chol.log_det(f) == pytest.approx(np.linalg.slogdet(noisy)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("spoil", ["asymmetric", "nan-lower", "nan-upper", "inf-diagonal"])
+    def test_full_array_gate_raises_as_factor_does(self, spoil):
+        a = random_spd(np.random.default_rng(7), 600)
+        if spoil == "asymmetric":
+            a[598, 10] += 1e-6 * np.max(np.abs(a))
+        elif spoil == "nan-lower":
+            a[598, 10] = np.nan
+        elif spoil == "nan-upper":
+            a[10, 598] = np.nan
+        else:
+            a[599, 599] = np.inf
+        error = AsymmetricInputError if spoil == "asymmetric" else NotFactorizableError
+        before = a.copy()
+        with pytest.raises(error):
+            chol.factor(a)
+        with pytest.raises(error):
+            chol.as_packed(a)
+        with pytest.raises(error):
+            gp_exact.DenseSystem.from_gram(a, gp_exact.NoiseModel(0.1))
+        assert a.tobytes() == before.tobytes()
+
+    def test_non_finite_packed_gram_raises(self):
+        _, packed = _packed_gram(9)
+        packed.rfp[-1] = np.nan
+        with pytest.raises(NotFactorizableError):
+            chol.factor(packed)
+
+    @pytest.mark.parametrize("overwrite_a", [False, True])
+    def test_failed_level_leaves_no_partial_factor(self, overwrite_a):
+        # Five distinct points, each repeated: the Gram has rank 5, so the
+        # unjittered level fails midway.  The level that succeeds factors the
+        # Gram (rebuilt from its kernel and inputs in place) plus its jitter,
+        # bit for bit what a fresh Gram with that jitter gives at once.
+        _, packed = _packed_gram(300, repeat=60)
+        before = packed.rfp.copy()
+        f = chol.factor(packed, overwrite_a=overwrite_a)
+        assert f.jitter_used > 0.0
+        assert np.shares_memory(f.L.rfp, packed.rfp) == overwrite_a
+        if not overwrite_a:
+            assert packed.rfp.tobytes() == before.tobytes()
+        _, fresh = _packed_gram(300, repeat=60)
+        fresh.fill_diagonal(fresh.diagonal() + f.jitter_used)
+        g = chol.factor(fresh)
+        assert g.jitter_used == 0.0
+        assert g.L.rfp.tobytes() == f.L.rfp.tobytes()
+
+    @pytest.mark.parametrize("source", ["kernel", "full array"])
+    def test_every_level_failing_leaves_the_packed_gram_unchanged(self, source):
+        if source == "kernel":
+            _, packed = _packed_gram(8)
+            packed.fill_diagonal(np.full(8, -1.0))
+        else:
+            packed = chol.as_packed(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        before = packed.rfp.copy()
+        with pytest.raises(NotFactorizableError):
+            chol.factor(packed, overwrite_a=True)
+        assert packed.rfp.tobytes() == before.tobytes()
+
+
 class TestRankOneUpdate:
     def test_zero_vector_is_identity(self):
         f = chol.factor(np.array([[4.0, 2.0], [2.0, 3.0]]))

@@ -66,14 +66,15 @@ class TestDenseSystem:
         assert K.tobytes() == before.tobytes()
 
     def test_factor_shares_the_gram_memory(self):
-        # The factor is computed in K's own memory and equals the factor of
-        # a separate K + s2 I; K is consumed.
+        # The factor is computed in K's own packed storage and equals the
+        # factor of a separate K + s2 I; K is consumed.
         X = np.random.default_rng(3).normal(size=(300, 1))
         K = gp_exact.dense_gram(X, make_kernel())
-        expected = chol.factor(K + 0.1 * np.eye(300))
+        expected = chol.factor(kernels.gram(make_kernel(), X) + 0.1 * np.eye(300))
         system = gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
-        assert np.shares_memory(system.noisy.L, K)
-        assert system.noisy.L.tobytes() == expected.L.tobytes()
+        assert isinstance(system.noisy.L, chol.Packed)
+        assert np.shares_memory(system.noisy.L.rfp, K.rfp)
+        assert np.allclose(system.noisy.L.unpack(), expected.L, rtol=0.0, atol=1e-12)
         assert system.noisy.jitter_used == expected.jitter_used
 
     def test_factor_allocates_no_second_gram(self):
@@ -87,7 +88,7 @@ class TestDenseSystem:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * K.nbytes
+        assert peak < 0.25 * K.rfp.nbytes
 
 
 class TestLogMarginalLikelihood:

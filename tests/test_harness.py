@@ -586,9 +586,9 @@ class TestRunners:
 
     def test_one_dense_gram_and_factor_per_cell(self, monkeypatch):
         # The y draw, the lambda_max block products and the exact KL share
-        # one N x N Gram, one factor of K + s2 I and one log marginal
-        # likelihood, built once per dataset: once per (seed, N) cell, and
-        # once per seed for every M of an m-sweep.
+        # one packed N x N Gram, one packed factor of K + s2 I and one log
+        # marginal likelihood, built once per dataset: once per (seed, N)
+        # cell, and once per seed for every M of an m-sweep.
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
         sweep = replace(cfg, kind="m-sweep", m_grid=[2, 5, 8])
         calls = Counter()
@@ -597,12 +597,12 @@ class TestRunners:
 
         def counting_gram(*args, **kwargs):
             K = gram(*args, **kwargs)
-            calls["gram", K.shape] += 1
+            calls["gram", isinstance(K, chol.Packed), K.shape] += 1
             return K
 
         def counting_factor(*args, **kwargs):
             f = factor(*args, **kwargs)
-            calls["factor", f.L.shape] += 1
+            calls["factor", isinstance(f.L, chol.Packed), f.dim] += 1
             return f
 
         def counting_lml(system, y):
@@ -615,13 +615,13 @@ class TestRunners:
         rows = runners.run_grid(cfg)
         assert len(rows) == len(cfg.seeds) * len(cfg.n_grid)
         for n in cfg.n_grid:
-            assert calls["gram", (n, n)] == len(cfg.seeds)
-            assert calls["factor", (n, n)] == len(cfg.seeds)
+            assert calls["gram", True, (n, n)] == len(cfg.seeds)
+            assert calls["factor", True, n] == len(cfg.seeds)
             assert calls["lml", n] == len(cfg.seeds)
         calls.clear()
         assert len(runners.run_grid(sweep)) == len(cfg.seeds) * len(sweep.m_grid)
         n = sweep.n_grid[0]
-        assert calls["gram", (n, n)] == calls["factor", (n, n)] == len(cfg.seeds)
+        assert calls["gram", True, (n, n)] == calls["factor", True, n] == len(cfg.seeds)
         assert calls["lml", n] == len(cfg.seeds)
 
     def test_one_dense_gram_per_eigvec_cell(self, monkeypatch):
@@ -664,10 +664,11 @@ class TestRunners:
         expected = [("gram", (n, n)), ("eigh", (n, n)), ("factor", (n, n))]
         assert [e for e in events if e[1] == (n, n)] == expected * len(cfg.seeds)
 
-    def test_dense_cell_holds_one_n_by_n_array(self):
+    def test_dense_cell_holds_one_packed_gram(self):
         # fig4's settings at N=1500: the selection, the lambda_max estimate
-        # and the factor all work in the cell's one Gram, so the traced peak
-        # (numpy's buffers included) stays near N^2 doubles, not twice that.
+        # and the factor all work in the cell's one packed Gram, so the traced
+        # peak (numpy's buffers included) stays near N^2 / 2 doubles, below
+        # one full N x N array.
         shipped = Path(__file__).resolve().parents[1] / "configs" / "fig4.cfg"
         cfg = config.parse_config(str(shipped))[0]
         n = 1500
@@ -678,7 +679,22 @@ class TestRunners:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
+        assert peak < 0.75 * n * n * 8
+
+    @pytest.mark.parametrize("method", ["points-uniform", "points-greedy", "eigfunc"])
+    def test_other_methods_hold_no_full_gram(self, method):
+        # Only an eigvec selection unpacks the Gram; every other method reads
+        # the packed one, so its traced peak stays below one N x N array.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "fig4.cfg"
+        cfg = replace(config.parse_config(str(shipped))[0], method=method, quadrature=128)
+        n = 1500
+        tracemalloc.start()
+        try:
+            runners._run_dataset(cfg, cfg.seeds[0], n, [cfg.m_rule.resolve(n, cfg)], None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n * n * 8
 
     def test_outputs_drawn_from_the_evaluated_system(self, monkeypatch):
         cfg = config.parse_config_text(SMOKE_CONFIG)[0]
@@ -700,7 +716,8 @@ class TestRunners:
             cfg.density, 40, runners._derived_seed(1, 40, 8, runners._PHASE_DATA)
         )
         K = kernels.gram(cfg.kernel, X)
-        assert np.array_equal(dense.noisy.L, chol.factor(K + cfg.noise.variance * np.eye(40)).L)
+        full = chol.factor(K + cfg.noise.variance * np.eye(40)).L
+        assert np.allclose(dense.noisy.L.unpack(), full, rtol=0.0, atol=1e-13)
 
     def test_m_sweep_rows_of_a_seed_share_one_dataset(self):
         # Every M of an m-sweep seed reads the X and y keyed by (seed, N)
@@ -739,7 +756,8 @@ class TestRunners:
                 cfg.density, n, runners._derived_seed(row.seed, n, 0, runners._PHASE_DATA)
             )
             K = gp_exact.dense_gram(X, cfg.kernel)
-            ind = runners._select_inducing(cfg, X, K, row.m, 0)
+            top = inducing.eigenvector_features(K.unpack(), X, row.m)
+            ind = runners._select_inducing(cfg, X, K, row.m, 0, top)
             res = svgp.residual(ind, cfg.kernel, X, K)
             dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
             y = gp_exact.sample_prior_outputs(
@@ -767,7 +785,7 @@ class TestRunners:
             )
             K = gp_exact.dense_gram(X, cfg.kernel)
             ind = runners._select_inducing(
-                cfg, X, K, m, runners._derived_seed(seed, n, m, runners._PHASE_SELECT)
+                cfg, X, K, m, runners._derived_seed(seed, n, m, runners._PHASE_SELECT), None
             )
             res = svgp.residual(ind, cfg.kernel, X, K)
             dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)

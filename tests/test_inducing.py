@@ -206,9 +206,9 @@ class TestExchangeChain:
         # An exact duplicate fails in LAPACK; a near-duplicate factors, but
         # its last pivot squared (about 1e-14) is below PIVOT_FLOOR * K[j, j].
         K = kernels.gram(se(), np.array([[0.0], [0.0], [1e-7], [1.0]]))
-        assert inducing._subset_factor(K, [0, 1]) is None
-        assert inducing._subset_factor(K, [0, 2]) is None
-        f = inducing._subset_factor(K, [3, 0])
+        assert inducing._subset_factor(K[np.ix_([0, 1], [0, 1])]) is None
+        assert inducing._subset_factor(K[np.ix_([0, 2], [0, 2])]) is None
+        f = inducing._subset_factor(K[np.ix_([3, 0], [3, 0])])
         assert np.array_equal(f.L, np.linalg.cholesky(K[np.ix_([3, 0], [3, 0])]))
 
     def test_factor_consistent_with_subset(self):

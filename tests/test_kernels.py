@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.linalg.lapack import dtrttf
 
-from sparsegp import kernels
+from sparsegp import chol, kernels
 from sparsegp.errors import (
     DimensionMismatchError,
     InvalidHyperparameterError,
@@ -87,6 +88,29 @@ class TestGram:
             assert np.array_equal(K, K.T)
             assert np.all(np.diag(K) == 1.0)
             assert np.linalg.eigvalsh(K)[0] >= -1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 257])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            kernels.squared_exponential(1.3, [0.7]),
+            kernels.squared_exponential(1.3, [0.7, 0.4]),
+            kernels.matern_half_integer(1, 1.3, [0.6]),
+            kernels.matern_half_integer(2, 1.3, [0.6, 1.1]),
+        ],
+    )
+    def test_packed_gram_is_the_lower_triangle_bit_for_bit(self, kernel, n):
+        # Odd and even N have the two RFP shapes; LAPACK's own packing of the
+        # full Gram is the reference.
+        X = np.random.default_rng(n).normal(0, 1, (n, kernel.dim))
+        K = kernels.gram(kernel, X)
+        packed = kernels.gram(kernel, X, packed=True)
+        assert isinstance(packed, chol.Packed) and packed.shape == (n, n)
+        assert packed.size == n * (n + 1) // 2
+        assert packed.rfp.tobytes() == dtrttf(K, transr="N", uplo="L")[0].tobytes()
+        assert np.array_equal(packed.unpack(), K)
+        with pytest.raises(DimensionMismatchError):
+            kernels.gram(kernel, X, X, packed=True)
 
     def test_se_equals_out_of_place_formula(self):
         # gram computes in place; the arithmetic and its order are unchanged.

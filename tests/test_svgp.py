@@ -282,16 +282,15 @@ class TestLambdaMax:
         K = gp_exact.dense_gram(X, kern)
         Z = X[inducing.kdpp_mcmc(K, 20, 1500, seed=5)]
         products = []
+        product = chol.Packed.__matmul__
 
-        class CountingGram(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    other = [x for x in inputs if not isinstance(x, CountingGram)]
-                    products.append(np.shape(other[0]) if other else ())
-                inputs = [np.asarray(x) if isinstance(x, CountingGram) else x for x in inputs]
-                return getattr(ufunc, method)(*inputs, **kwargs)
+        def counting_product(self, V):
+            products.append(np.shape(V))
+            return product(self, V)
 
-        res = svgp.residual(svgp.Points(Z), kern, X, K.view(CountingGram))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chol.Packed, "__matmul__", counting_product)
+            res = svgp.residual(svgp.Points(Z), kern, X, K)
         assert 1 <= len(products) <= 4
         assert all(len(shape) == 2 and min(shape) > 1 for shape in products)
         assert res.lambda_max == svgp.residual(svgp.Points(Z), kern, X, K).lambda_max
