@@ -4,14 +4,14 @@
 passes one tiled check (symmetry, scale and finiteness: a NaN or an infinity
 raises), the gate every full array from outside the library goes through
 (:func:`as_packed` packs one after the same check), and its column-major view
-is factored with LAPACK ``dpotrf``: in a copy by default, or in A's own
-memory with ``overwrite_a``.  For a C-ordered A that view is the transpose,
-whose lower triangle LAPACK reads: A's upper triangle, equal to the lower one
-for the library's exactly symmetric Grams and within the symmetry check's
-tolerance of it otherwise.  A :class:`Packed` Gram holds the lower triangle
-alone, in LAPACK's rectangular full packed (RFP) storage, N(N+1)/2 floats; it
-cannot be asymmetric, so it only passes a finiteness check before LAPACK
-``dpftrf`` factors it in that storage.
+is factored with LAPACK ``dpotrf`` in a copy; A is never written.  For a
+C-ordered A that view is the transpose, whose lower triangle LAPACK reads:
+A's upper triangle, equal to the lower one for the library's exactly
+symmetric Grams and within the symmetry check's tolerance of it otherwise.
+A :class:`Packed` Gram holds the lower triangle alone, in LAPACK's
+rectangular full packed (RFP) storage, N(N+1)/2 floats; it cannot be
+asymmetric, so it only passes a finiteness check before LAPACK ``dpftrf``
+factors it in that storage, a copy's or, with ``overwrite_a``, its own.
 
 Besides plain factorization with an escalating jitter schedule, this module
 provides three primitives that edit a factor of a principal submatrix as
@@ -82,7 +82,8 @@ class Packed:
     ``size`` counts the stored floats and ``shape`` is the matrix's, as for
     ``scipy.sparse``.  ``source(packed)``, when given, writes the whole
     matrix into ``packed``'s storage; :func:`factor` calls it through
-    :meth:`refill` to undo a failed attempt in place.
+    :meth:`refill` to undo a failed attempt in place, so a Gram with no
+    source is only factored in a copy.
     """
 
     __array_ufunc__ = None  # numpy defers ``V @ packed`` and friends instead of converting
@@ -275,13 +276,10 @@ def factor(A: np.ndarray | Packed, overwrite_a: bool = False) -> LowerFactor:
     transpose view, so LAPACK reads A's upper triangle.  For an exactly
     symmetric A that is the lower triangle and L is bit for bit
     ``scipy.linalg.cholesky(A, lower=True)``; otherwise the symmetry check
-    bounds the difference.  By default that view is copied once into an
-    F-ordered buffer, which becomes L, and A is never written.  With
-    ``overwrite_a`` the buffer is A's own memory, with the same L: A must be
-    a C- or F-contiguous float64 array, and on success its memory holds L
-    (the returned ``L`` is a view of it).  ``dpotrf`` writes one triangle
-    only, so a level that fails is undone from the untouched mirror triangle
-    and the saved diagonal before the next is tried.
+    bounds the difference.  That view is copied once into an F-ordered
+    buffer, which becomes L, and A is never written.  ``dpotrf`` writes one
+    triangle only, so a level that fails is undone from the untouched mirror
+    triangle and the saved diagonal before the next is tried.
 
     A :class:`Packed` A is only checked for finiteness, and LAPACK
     ``dpftrf`` factors it in its RFP storage: a copy by default, A's own
@@ -299,25 +297,20 @@ def factor(A: np.ndarray | Packed, overwrite_a: bool = False) -> LowerFactor:
     AsymmetricInputError
         If A is a full array and ``max|A - A.T| > 1e-10 * max|A|``.
     NotInPlaceError
-        With ``overwrite_a``, if a full A is not a writeable contiguous
-        float64 array.
+        With ``overwrite_a``, if A is not a :class:`Packed` Gram with a
+        ``source`` to undo a failed level from.
     """
+    if overwrite_a and not (isinstance(A, Packed) and A.symmetric and A.source is not None):
+        raise NotInPlaceError("overwrite_a needs a packed Gram with a source")
     if isinstance(A, Packed):
         return _factor_packed(A, overwrite_a)
-    if overwrite_a and not (
-        isinstance(A, np.ndarray)
-        and A.dtype == np.float64
-        and (A.flags.c_contiguous or A.flags.f_contiguous)
-        and A.flags.writeable
-    ):
-        raise NotInPlaceError("overwrite_a needs a writeable, contiguous float64 array")
     A = _checked_full(np.asarray(A, dtype=float))
     m = A.shape[0]
     if m == 0:
         return LowerFactor(np.zeros((0, 0)), 0.0)
     column_major = A.T if A.flags.c_contiguous else A
     diag = column_major.diagonal().copy()
-    work = column_major if overwrite_a else column_major.copy(order="F")
+    work = column_major.copy(order="F")
 
     def attempt(d: np.ndarray) -> np.ndarray | None:
         np.fill_diagonal(work, d)

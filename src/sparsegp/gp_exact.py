@@ -98,6 +98,8 @@ class DenseSystem:
             If K holds a non-finite entry, or if every jitter level fails.
         AsymmetricInputError
             If a full K is not symmetric within ``chol.factor``'s tolerance.
+        NotInPlaceError
+            If K is a :class:`chol.Packed` with no ``source``.
         """
         K = chol.as_packed(K)
         k_diag = K.diagonal()

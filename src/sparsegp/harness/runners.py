@@ -15,6 +15,7 @@ import dataclasses
 import time
 
 import numpy as np
+from scipy.linalg.lapack import dtrttf
 
 from .. import bounds, chol, gp_exact, inducing, kernels, svgp
 from ..errors import ConfigError
@@ -153,11 +154,12 @@ def _run_dataset(
         start = time.perf_counter()
         if cfg.method == "eigvec" and top is None:
             # The eigensolver reads a full N x N Gram.  The packed one is
-            # dropped while it runs and packed again from the full one, which
-            # the packed Gram keeps as its source until it is factored.
-            K = K.unpack()
+            # dropped while it runs, then packed again from the full one
+            # (exactly symmetric, so unchecked), which is dropped in turn;
+            # the kernel and X stay its source.
+            source, K = K.source, K.unpack()
             top = inducing.eigenvector_features(K, X, max(ms))
-            K = chol.as_packed(K)
+            K = chol.Packed(dtrttf(K, transr="N", uplo="L")[0], n, source=source)
         ind = _select_inducing(cfg, X, K, m, _derived_seed(seed, n, m, _PHASE_SELECT), top)
         selected = time.perf_counter()
         res = svgp.residual(ind, cfg.kernel, X, K)

@@ -215,49 +215,55 @@ class TestFactorLayout:
 
 
 class TestFactorInPlace:
-    """With overwrite_a, dpotrf factors A's own column-major view, and L is that view."""
+    """With overwrite_a, dpftrf factors a packed Gram in its own storage; a full array is copied."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 2, 257, 600])
     def test_bit_equal_to_copying_factor(self, n, order):
         a = np.asarray(_exact_gram(n), order=order)
-        expected = chol.factor(a)
-        f = chol.factor(a.copy(order="A"), overwrite_a=True)
-        assert f.L.tobytes() == expected.L.tobytes()
+        expected = chol.factor(chol.as_packed(a))
+        packed = chol.as_packed(a)
+        f = chol.factor(packed, overwrite_a=True)
+        assert f.L.rfp.tobytes() == expected.L.rfp.tobytes()
         assert f.jitter_used == expected.jitter_used == 0.0
-        b = a.copy(order="A")
-        assert np.shares_memory(chol.factor(b, overwrite_a=True).L, b)
+        assert np.shares_memory(f.L.rfp, packed.rfp)
+        assert not np.shares_memory(expected.L.rfp, packed.rfp)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shift", [0.0, 5e-9])
     def test_jitter_retry_wider_than_a_tile(self, order, shift):
-        # Duplicated points at n = 701 > _SYMMETRY_TILE: a failed level is
-        # undone from the mirror triangle before the next is tried, one
-        # failed level without the shift and two with it.
+        # Duplicated points at n = 701 > _SYMMETRY_TILE, one failed level
+        # without the shift and two with it.  A full array's copy is undone
+        # from its mirror triangle, a packed Gram in place from its source.
         assert 701 > chol._SYMMETRY_TILE
         a = np.asarray(_rank_deficient_gram(701, shift), order=order)
-        expected = chol.factor(a)
-        assert expected.jitter_used == (1e-10 if shift == 0.0 else 1e-8) * np.mean(np.diag(a))
-        b = a.copy(order="A")
-        f = chol.factor(b, overwrite_a=True)
-        assert np.shares_memory(f.L, b)
-        assert f.L.tobytes() == expected.L.tobytes()
-        assert f.jitter_used == expected.jitter_used
+        before = a.copy()
+        jitter = (1e-10 if shift == 0.0 else 1e-8) * np.mean(np.diag(a))
+        jittered = a + jitter * np.eye(701)
+        f = chol.factor(a)
+        assert f.jitter_used == jitter
+        assert np.array_equal(f.L, scipy.linalg.cholesky(jittered, lower=True))
+        assert a.tobytes() == before.tobytes()
+        packed = chol.as_packed(a)
+        g = chol.factor(packed, overwrite_a=True)
+        assert np.shares_memory(g.L.rfp, packed.rfp)
+        assert g.jitter_used == jitter
+        assert g.L.rfp.tobytes() == chol.factor(chol.as_packed(jittered)).L.rfp.tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_lapack_factors_the_input_itself(self, monkeypatch, order):
         seen = []
-        dpotrf = chol.dpotrf
+        dpftrf = chol.dpftrf
 
-        def spy(a, **kwargs):
+        def spy(n, a, **kwargs):
             seen.append(a)
-            return dpotrf(a, **kwargs)
+            return dpftrf(n, a, **kwargs)
 
-        monkeypatch.setattr(chol, "dpotrf", spy)
-        a = np.asarray(_rank_deficient_gram(300), order=order)
-        chol.factor(a, overwrite_a=True)
+        monkeypatch.setattr(chol, "dpftrf", spy)
+        packed = chol.as_packed(np.asarray(_rank_deficient_gram(300), order=order))
+        chol.factor(packed, overwrite_a=True)
         assert len(seen) == 2
-        assert all(buf.flags.f_contiguous and np.shares_memory(buf, a) for buf in seen)
+        assert all(buf is packed.rfp for buf in seen)
 
     @pytest.mark.parametrize(
         "spoil", ["asymmetric", "nan-upper", "nan-mirror", "inf-diagonal"]
@@ -275,21 +281,24 @@ class TestFactorInPlace:
         before = a.copy()
         error = AsymmetricInputError if spoil == "asymmetric" else NotFactorizableError
         with pytest.raises(error):
-            chol.factor(a, overwrite_a=True)
+            chol.factor(a)
         assert a.tobytes() == before.tobytes()
 
     def test_every_level_failing_leaves_a_unchanged(self):
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        before = a.copy()
+        packed = chol.as_packed(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        before = packed.rfp.copy()
         with pytest.raises(NotFactorizableError):
-            chol.factor(a, overwrite_a=True)
-        assert a.tobytes() == before.tobytes()
+            chol.factor(packed, overwrite_a=True)
+        assert packed.rfp.tobytes() == before.tobytes()
 
     def test_input_that_would_be_copied_raises(self):
+        # Only a packed Gram with a source is factored in place: never a
+        # full array, good or not, nor a packed factor.
         a = _exact_gram(40)
         read_only = a.copy()
         read_only.flags.writeable = False
-        for bad in (a[::2, ::2], a.astype(np.float32), a.tolist(), read_only):
+        factor = chol.factor(chol.as_packed(a)).L
+        for bad in (a, a[::2, ::2], a.astype(np.float32), a.tolist(), read_only, factor):
             with pytest.raises(NotInPlaceError):
                 chol.factor(bad, overwrite_a=True)
         assert np.array_equal(a, _exact_gram(40))
@@ -395,17 +404,26 @@ class TestPacked:
         assert g.jitter_used == 0.0
         assert g.L.rfp.tobytes() == f.L.rfp.tobytes()
 
-    @pytest.mark.parametrize("source", ["kernel", "full array"])
-    def test_every_level_failing_leaves_the_packed_gram_unchanged(self, source):
-        if source == "kernel":
-            _, packed = _packed_gram(8)
-            packed.fill_diagonal(np.full(8, -1.0))
-        else:
-            packed = chol.as_packed(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+    def test_every_level_failing_leaves_the_packed_gram_unchanged(self):
+        _, packed = _packed_gram(8)
+        packed.fill_diagonal(np.full(8, -1.0))
         before = packed.rfp.copy()
         with pytest.raises(NotFactorizableError):
             chol.factor(packed, overwrite_a=True)
         assert packed.rfp.tobytes() == before.tobytes()
+
+    def test_gram_without_a_source_is_not_factored_in_place(self):
+        # With no source, a failed level could not be undone in place.
+        K, _ = _packed_gram(300, repeat=60)
+        sourceless = chol.Packed(chol.as_packed(K).rfp.copy(), 300)
+        before = sourceless.rfp.copy()
+        with pytest.raises(NotInPlaceError):
+            chol.factor(sourceless, overwrite_a=True)
+        assert sourceless.rfp.tobytes() == before.tobytes()
+        f = chol.factor(sourceless)
+        assert f.jitter_used > 0.0
+        assert f.L.rfp.tobytes() == chol.factor(chol.as_packed(K)).L.rfp.tobytes()
+        assert sourceless.rfp.tobytes() == before.tobytes()
 
 
 class TestRankOneUpdate:
