@@ -9,9 +9,10 @@ C-ordered A that view is the transpose, whose lower triangle LAPACK reads:
 A's upper triangle, equal to the lower one for the library's exactly
 symmetric Grams and within the symmetry check's tolerance of it otherwise.
 A :class:`Packed` Gram holds the lower triangle alone, in LAPACK's
-rectangular full packed (RFP) storage, N(N+1)/2 floats; it cannot be
-asymmetric, so it only passes a finiteness check before LAPACK ``dpftrf``
-factors it in that storage, a copy's or, with ``overwrite_a``, its own.
+rectangular full packed (RFP) storage, N(N+1)/2 floats.  It enters through
+:func:`as_packed`, which refuses a packed factor, and cannot be asymmetric,
+so it only passes a finiteness check before LAPACK ``dpftrf`` factors it in
+its own storage: the Gram is consumed, and the factor takes its memory.
 
 Besides plain factorization with an escalating jitter schedule, this module
 provides three primitives that edit a factor of a principal submatrix as
@@ -44,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     NotFactorizableError,
-    NotInPlaceError,
     NotPositiveDefiniteError,
 )
 
@@ -77,13 +77,14 @@ class Packed:
     n1 = ceil(N/2), written flat: for j < n1, the part of column j on and
     below the diagonal is contiguous (one row lower for even N), and the
     triangle of the trailing N - n1 rows and columns lies transposed above
-    it.  A ``symmetric`` matrix (a Gram) mirrors the lower triangle above the
-    diagonal; otherwise (a Cholesky factor) the upper triangle is zero.
-    ``size`` counts the stored floats and ``shape`` is the matrix's, as for
-    ``scipy.sparse``.  ``source(packed)``, when given, writes the whole
-    matrix into ``packed``'s storage; :func:`factor` calls it through
-    :meth:`refill` to undo a failed attempt in place, so a Gram with no
-    source is only factored in a copy.
+    it.  ``size`` counts the stored floats and ``shape`` is the matrix's, as
+    for ``scipy.sparse``.
+
+    A Packed with a ``source`` is a Gram: it is symmetric (the lower
+    triangle is mirrored above the diagonal), and ``source(packed)`` writes
+    the whole matrix into ``packed``'s storage again, which :func:`factor`
+    does to undo a failed jitter level.  A Packed without one is the
+    lower-triangular factor :func:`factor` made; its upper triangle is zero.
     """
 
     __array_ufunc__ = None  # numpy defers ``V @ packed`` and friends instead of converting
@@ -92,12 +93,11 @@ class Packed:
         self,
         rfp: np.ndarray,
         dim: int,
-        symmetric: bool = True,
         source: Callable[[Packed], None] | None = None,
     ):
         if rfp.shape != (dim * (dim + 1) // 2,):
             raise DimensionMismatchError(f"{rfp.shape} storage for a packed {dim} x {dim} matrix")
-        self.rfp, self.dim, self.symmetric, self.source = rfp, dim, symmetric, source
+        self.rfp, self.dim, self.source = rfp, dim, source
         self._n1, self._off = (dim + 1) // 2, 1 - dim % 2
         self._grid = rfp.reshape((dim + self._off, self._n1), order="F")
 
@@ -109,9 +109,9 @@ class Packed:
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
 
-    def refill(self) -> None:
-        """Rewrite the whole matrix from ``source``."""
-        self.source(self)
+    @property
+    def symmetric(self) -> bool:
+        return self.source is not None
 
     def write(self, block, rows: int) -> None:
         """Write the lower triangle of an exactly symmetric matrix A into the storage.
@@ -213,21 +213,24 @@ def _square(lower: np.ndarray, symmetric: bool) -> np.ndarray:
 
 
 def as_packed(A) -> Packed:
-    """A Gram as a :class:`Packed`; the gate full arrays from outside enter by.
+    """A Gram as a :class:`Packed`; the one gate of packed input.
 
-    A :class:`Packed` is returned as it is.  A full array passes the checks
-    :func:`factor` makes of one, and the triangle ``factor`` would read (the
-    lower one of A's column-major view) is packed into a new buffer; A is
-    never written, and is the packed matrix's ``source``.
+    A :class:`Packed` Gram is returned as it is.  A full array passes the
+    checks :func:`factor` makes of one, and the triangle ``factor`` would
+    read (the lower one of A's column-major view) is packed into a new
+    buffer; A is never written, and is the packed matrix's ``source``.
 
     Raises
     ------
     NotFactorizableError
         If A holds a NaN or an infinity.
     AsymmetricInputError
-        If ``max|A - A.T| > 1e-10 * max|A|``.
+        If ``max|A - A.T| > 1e-10 * max|A|``, or if A is a packed factor
+        (a :class:`Packed` without a ``source``), which is not a Gram.
     """
     if isinstance(A, Packed):
+        if not A.symmetric:
+            raise AsymmetricInputError("a packed Cholesky factor is not a Gram")
         return A
     A = _checked_full(np.asarray(A, dtype=float))
     column_major = A.T if A.flags.c_contiguous else np.asfortranarray(A)
@@ -238,7 +241,7 @@ def as_packed(A) -> Packed:
 
     n = A.shape[0]
     packed = Packed(np.empty(n * (n + 1) // 2), n, source=source)
-    packed.refill()
+    source(packed)
     return packed
 
 
@@ -265,7 +268,7 @@ class LowerFactor:
         return L @ L.T
 
 
-def factor(A: np.ndarray | Packed, overwrite_a: bool = False) -> LowerFactor:
+def factor(A: np.ndarray | Packed) -> LowerFactor:
     """Factor a symmetric PSD matrix, escalating through a jitter schedule.
 
     The amounts added to the diagonal, tried in order, are
@@ -281,11 +284,11 @@ def factor(A: np.ndarray | Packed, overwrite_a: bool = False) -> LowerFactor:
     triangle only, so a level that fails is undone from the untouched mirror
     triangle and the saved diagonal before the next is tried.
 
-    A :class:`Packed` A is only checked for finiteness, and LAPACK
-    ``dpftrf`` factors it in its RFP storage: a copy by default, A's own
-    with ``overwrite_a``; L is then a :class:`Packed` factor in that storage.
-    A level that fails is undone by rewriting the storage from A (in place,
-    from A's ``source``) and its saved diagonal.
+    A :class:`Packed` A, read through :func:`as_packed`, is only checked for
+    finiteness, and LAPACK ``dpftrf`` factors it in its own RFP storage, so
+    the Gram is consumed: L is a :class:`Packed` factor in that storage.  A
+    level that fails is undone by rewriting the storage from A's ``source``
+    and its saved diagonal.
 
     Either way the checks raise before anything is written, and a failure at
     every level leaves A as it was.
@@ -295,15 +298,11 @@ def factor(A: np.ndarray | Packed, overwrite_a: bool = False) -> LowerFactor:
     NotFactorizableError
         If A holds a NaN or an infinity, or if every jitter level fails.
     AsymmetricInputError
-        If A is a full array and ``max|A - A.T| > 1e-10 * max|A|``.
-    NotInPlaceError
-        With ``overwrite_a``, if A is not a :class:`Packed` Gram with a
-        ``source`` to undo a failed level from.
+        If A is a full array and ``max|A - A.T| > 1e-10 * max|A|``, or a
+        packed factor.
     """
-    if overwrite_a and not (isinstance(A, Packed) and A.symmetric and A.source is not None):
-        raise NotInPlaceError("overwrite_a needs a packed Gram with a source")
     if isinstance(A, Packed):
-        return _factor_packed(A, overwrite_a)
+        return _factor_packed(as_packed(A))
     A = _checked_full(np.asarray(A, dtype=float))
     m = A.shape[0]
     if m == 0:
@@ -326,23 +325,23 @@ def factor(A: np.ndarray | Packed, overwrite_a: bool = False) -> LowerFactor:
     return _escalate(diag, attempt)
 
 
-def _factor_packed(A: Packed, overwrite_a: bool) -> LowerFactor:
+def _factor_packed(A: Packed) -> LowerFactor:
     n = A.dim
     if n == 0:
         return LowerFactor(np.zeros((0, 0)), 0.0)
     if not (np.isfinite(A.rfp.max()) and np.isfinite(A.rfp.min())):
         raise NotFactorizableError("input matrix has a non-finite entry")
     diag = A.diagonal()
-    work = A if overwrite_a else Packed(A.rfp.copy(), n, source=lambda P: np.copyto(P.rfp, A.rfp))
 
     def attempt(d: np.ndarray) -> Packed | None:
-        work.fill_diagonal(d)
-        L, info = dpftrf(n, work.rfp, transr="N", uplo="L", overwrite_a=1)
+        A.fill_diagonal(d)
+        L, info = dpftrf(n, A.rfp, transr="N", uplo="L", overwrite_a=1)
         if info == 0:
-            return Packed(L, n, symmetric=False)
+            A.source = None  # the storage holds the factor now, not a Gram
+            return Packed(L, n)
         _check_info("dpftrf", info)
-        work.refill()  # dpftrf leaves a partial factor behind
-        work.fill_diagonal(diag)
+        A.source(A)  # dpftrf leaves a partial factor behind
+        A.fill_diagonal(diag)
         return None
 
     return _escalate(diag, attempt)

@@ -13,10 +13,6 @@ class NotFactorizableError(SparseGPError):
     """Cholesky factorization failed at every jitter level."""
 
 
-class NotInPlaceError(SparseGPError, ValueError):
-    """Array handed to an in-place routine cannot be written without a copy."""
-
-
 class NotPositiveDefiniteError(SparseGPError):
     """A factor extension hit a nonpositive pivot (linearly dependent point)."""
 

@@ -68,8 +68,8 @@ class NoiseModel:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise InvalidHyperparameterError("noise variance must be positive")
+        if not 0 < self.variance < np.inf:
+            raise InvalidHyperparameterError("noise variance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,15 @@ class DenseSystem:
         NotFactorizableError
             If K holds a non-finite entry, or if every jitter level fails.
         AsymmetricInputError
-            If a full K is not symmetric within ``chol.factor``'s tolerance.
-        NotInPlaceError
-            If K is a :class:`chol.Packed` with no ``source``.
+            If a full K is not symmetric within ``chol.factor``'s tolerance,
+            or if K is a packed factor (a :class:`chol.Packed` with no
+            ``source``) rather than a Gram.
         """
         K = chol.as_packed(K)
         k_diag = K.diagonal()
         K.fill_diagonal(k_diag + noise.variance)
         try:
-            noisy = chol.factor(K, overwrite_a=True)
+            noisy = chol.factor(K)
         except SparseGPError:
             K.fill_diagonal(k_diag)
             raise

@@ -221,9 +221,9 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         dispersion_lengthscales=read(
             "dispersion_lengthscales",
             _floats,
-            f"one or more positive floats with distinct {DISPERSION_LABEL} labels",
+            f"one or more positive finite floats with distinct {DISPERSION_LABEL} labels",
             lambda ls: ls
-            and all(l > 0 for l in ls)
+            and all(0 < l < math.inf for l in ls)
             and len({DISPERSION_LABEL.format(l) for l in ls}) == len(ls),
         ),
         out_csv=read("out_csv", str, "a nonempty filename", bool) or f"{name}.csv",

@@ -58,10 +58,10 @@ class KernelSpec:
         )
         if self.family not in (SQUARED_EXPONENTIAL, MATERN):
             raise InvalidHyperparameterError(f"unknown kernel family {self.family!r}")
-        if not self.variance > 0:
-            raise InvalidHyperparameterError("variance must be positive")
-        if self.lengthscales.ndim != 1 or not np.all(self.lengthscales > 0):
-            raise InvalidHyperparameterError("lengthscales must be positive")
+        if not _positive_finite(self.variance):
+            raise InvalidHyperparameterError("variance must be positive and finite")
+        if self.lengthscales.ndim != 1 or not _positive_finite(self.lengthscales):
+            raise InvalidHyperparameterError("lengthscales must be positive and finite")
         if self.family == MATERN:
             if self.matern_order is None or self.matern_order < 0:
                 raise InvalidHyperparameterError("Matern kernel needs order k >= 0")
@@ -71,6 +71,12 @@ class KernelSpec:
     @property
     def dim(self) -> int:
         return self.lengthscales.shape[0]
+
+
+def _positive_finite(values) -> bool:
+    # False for a NaN as well as for an infinity or a value <= 0.
+    values = np.asarray(values)
+    return bool(np.all((0 < values) & (values < np.inf)))
 
 
 def squared_exponential(variance: float, lengthscales) -> KernelSpec:
@@ -93,8 +99,10 @@ class GaussianDensity:
         object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, dtype=float)))
         if self.mean.shape != self.std.shape:
             raise DimensionMismatchError("mean and std must have matching shapes")
-        if not np.all(self.std > 0):
-            raise InvalidHyperparameterError("density std must be positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise InvalidHyperparameterError("density mean must be finite")
+        if not _positive_finite(self.std):
+            raise InvalidHyperparameterError("density std must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -113,8 +121,8 @@ class UniformDensity:
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
         if self.lower.shape != self.upper.shape:
             raise DimensionMismatchError("lower and upper must have matching shapes")
-        if not np.all(self.lower < self.upper):
-            raise InvalidHyperparameterError("need lower < upper in every dimension")
+        if not np.all(np.isfinite(self.lower) & np.isfinite(self.upper) & (self.lower < self.upper)):
+            raise InvalidHyperparameterError("need finite lower < upper in every dimension")
 
     @property
     def dim(self) -> int:
@@ -194,7 +202,7 @@ def gram(kernel: KernelSpec, X, X2=None, packed: bool = False) -> np.ndarray | c
             raise DimensionMismatchError("a packed Gram is the square Gram of X alone")
         n = X.shape[0]
         K = chol.Packed(np.empty(n * (n + 1) // 2), n, source=partial(_write_packed, kernel, X))
-        K.refill()
+        K.source(K)
         return K
     X2m = X if X2 is None else _check_dims(kernel, X2)
     K = np.empty((X.shape[0], X2m.shape[0]))

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpftrf
 
-from sparsegp import chol, gp_exact, kernels
+from sparsegp import chol, gp_exact, inducing, kernels, svgp
 from sparsegp.errors import (
     AsymmetricInputError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     NotFactorizableError,
-    NotInPlaceError,
     NotPositiveDefiniteError,
 )
 
@@ -215,19 +215,19 @@ class TestFactorLayout:
 
 
 class TestFactorInPlace:
-    """With overwrite_a, dpftrf factors a packed Gram in its own storage; a full array is copied."""
+    """dpftrf factors a packed Gram in its own storage; a full array is copied."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 2, 257, 600])
     def test_bit_equal_to_copying_factor(self, n, order):
-        a = np.asarray(_exact_gram(n), order=order)
-        expected = chol.factor(chol.as_packed(a))
-        packed = chol.as_packed(a)
-        f = chol.factor(packed, overwrite_a=True)
-        assert f.L.rfp.tobytes() == expected.L.rfp.tobytes()
-        assert f.jitter_used == expected.jitter_used == 0.0
+        # The reference is dpftrf run directly on a copy of the storage.
+        packed = chol.as_packed(np.asarray(_exact_gram(n), order=order))
+        expected, info = dpftrf(n, packed.rfp.copy(), transr="N", uplo="L")
+        assert info == 0
+        f = chol.factor(packed)
+        assert f.L.rfp.tobytes() == expected.tobytes()
+        assert f.jitter_used == 0.0
         assert np.shares_memory(f.L.rfp, packed.rfp)
-        assert not np.shares_memory(expected.L.rfp, packed.rfp)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shift", [0.0, 5e-9])
@@ -245,7 +245,7 @@ class TestFactorInPlace:
         assert np.array_equal(f.L, scipy.linalg.cholesky(jittered, lower=True))
         assert a.tobytes() == before.tobytes()
         packed = chol.as_packed(a)
-        g = chol.factor(packed, overwrite_a=True)
+        g = chol.factor(packed)
         assert np.shares_memory(g.L.rfp, packed.rfp)
         assert g.jitter_used == jitter
         assert g.L.rfp.tobytes() == chol.factor(chol.as_packed(jittered)).L.rfp.tobytes()
@@ -261,7 +261,7 @@ class TestFactorInPlace:
 
         monkeypatch.setattr(chol, "dpftrf", spy)
         packed = chol.as_packed(np.asarray(_rank_deficient_gram(300), order=order))
-        chol.factor(packed, overwrite_a=True)
+        chol.factor(packed)
         assert len(seen) == 2
         assert all(buf is packed.rfp for buf in seen)
 
@@ -288,20 +288,20 @@ class TestFactorInPlace:
         packed = chol.as_packed(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
         before = packed.rfp.copy()
         with pytest.raises(NotFactorizableError):
-            chol.factor(packed, overwrite_a=True)
+            chol.factor(packed)
         assert packed.rfp.tobytes() == before.tobytes()
+        assert packed.symmetric  # still a Gram, with its source
 
-    def test_input_that_would_be_copied_raises(self):
-        # Only a packed Gram with a source is factored in place: never a
-        # full array, good or not, nor a packed factor.
+    def test_full_array_of_any_layout_is_factored_in_a_copy(self):
         a = _exact_gram(40)
         read_only = a.copy()
         read_only.flags.writeable = False
-        factor = chol.factor(chol.as_packed(a)).L
-        for bad in (a, a[::2, ::2], a.astype(np.float32), a.tolist(), read_only, factor):
-            with pytest.raises(NotInPlaceError):
-                chol.factor(bad, overwrite_a=True)
-        assert np.array_equal(a, _exact_gram(40))
+        for full in (a, a.T, read_only, a.tolist()):
+            assert np.array_equal(chol.factor(full).L, scipy.linalg.cholesky(a, lower=True))
+        strided = np.asfortranarray(_exact_gram(80))[::2, ::2]
+        expected = scipy.linalg.cholesky(np.ascontiguousarray(strided), lower=True)
+        assert np.array_equal(chol.factor(strided).L, expected)
+        assert np.array_equal(a, _exact_gram(40)) and np.array_equal(read_only, a)
 
     def test_failed_dense_system_raises_and_leaves_the_gram(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite, also with the noise
@@ -385,19 +385,15 @@ class TestPacked:
         with pytest.raises(NotFactorizableError):
             chol.factor(packed)
 
-    @pytest.mark.parametrize("overwrite_a", [False, True])
-    def test_failed_level_leaves_no_partial_factor(self, overwrite_a):
+    def test_failed_level_leaves_no_partial_factor(self):
         # Five distinct points, each repeated: the Gram has rank 5, so the
         # unjittered level fails midway.  The level that succeeds factors the
         # Gram (rebuilt from its kernel and inputs in place) plus its jitter,
         # bit for bit what a fresh Gram with that jitter gives at once.
         _, packed = _packed_gram(300, repeat=60)
-        before = packed.rfp.copy()
-        f = chol.factor(packed, overwrite_a=overwrite_a)
+        f = chol.factor(packed)
         assert f.jitter_used > 0.0
-        assert np.shares_memory(f.L.rfp, packed.rfp) == overwrite_a
-        if not overwrite_a:
-            assert packed.rfp.tobytes() == before.tobytes()
+        assert np.shares_memory(f.L.rfp, packed.rfp)
         _, fresh = _packed_gram(300, repeat=60)
         fresh.fill_diagonal(fresh.diagonal() + f.jitter_used)
         g = chol.factor(fresh)
@@ -409,21 +405,36 @@ class TestPacked:
         packed.fill_diagonal(np.full(8, -1.0))
         before = packed.rfp.copy()
         with pytest.raises(NotFactorizableError):
-            chol.factor(packed, overwrite_a=True)
+            chol.factor(packed)
         assert packed.rfp.tobytes() == before.tobytes()
 
-    def test_gram_without_a_source_is_not_factored_in_place(self):
-        # With no source, a failed level could not be undone in place.
-        K, _ = _packed_gram(300, repeat=60)
-        sourceless = chol.Packed(chol.as_packed(K).rfp.copy(), 300)
-        before = sourceless.rfp.copy()
-        with pytest.raises(NotInPlaceError):
-            chol.factor(sourceless, overwrite_a=True)
-        assert sourceless.rfp.tobytes() == before.tobytes()
-        f = chol.factor(sourceless)
-        assert f.jitter_used > 0.0
-        assert f.L.rfp.tobytes() == chol.factor(chol.as_packed(K)).L.rfp.tobytes()
-        assert sourceless.rfp.tobytes() == before.tobytes()
+    def test_packed_factor_is_not_read_as_a_gram(self):
+        # A Packed without a source is a factor: every Gram reader refuses
+        # it through chol.as_packed before reading it, and so does a Gram
+        # that factor has consumed.
+        X = np.random.default_rng(3).uniform(0.0, 5.0, size=(50, 1))
+        kern = kernels.squared_exponential(1.0, [0.4])
+        K = kernels.gram(kern, X, packed=True)
+        L = gp_exact.dense_system(X, kern, gp_exact.NoiseModel(10.0)).noisy.L
+        assert not L.symmetric
+        points = svgp.Points(X[:3])
+        readers = [
+            chol.factor,
+            chol.as_packed,
+            lambda G: inducing.greedy_det_init(G, 3),
+            lambda G: inducing.init_sampler(G, 3, seed=0),
+            lambda G: inducing.kdpp_mcmc(G, 3, steps=10, seed=0),
+            lambda G: svgp.lambda_max_gap(G, np.zeros((3, 50)), 50.0, 1.0),
+            lambda G: svgp.residual(points, kern, X, G),
+            lambda G: gp_exact.DenseSystem.from_gram(G, gp_exact.NoiseModel(10.0)),
+        ]
+        factor = chol.factor(K)
+        for G in (L, factor.L, K):
+            before = G.rfp.copy()
+            for read in readers:
+                with pytest.raises(AsymmetricInputError):
+                    read(G)
+                assert G.rfp.tobytes() == before.tobytes()
 
 
 class TestRankOneUpdate:

@@ -34,6 +34,11 @@ class TestDatasetValidation:
         with pytest.raises(InvalidHyperparameterError):
             gp_exact.NoiseModel(0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_noise_finite(self, bad):
+        with pytest.raises(InvalidHyperparameterError):
+            gp_exact.NoiseModel(bad)
+
 
 class TestDenseSystem:
     def test_limit_checked_before_gram(self, monkeypatch):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sparsegp import bounds, chol, gp_exact, inducing, kernels, svgp
-from sparsegp.errors import ConfigError, DenseLimitExceededError
+from sparsegp.errors import ConfigError, DenseLimitExceededError, SparseGPError
 from sparsegp.harness import cli, config, emit, oracle_suite, runners
 
 CONFIG_MD = Path(__file__).resolve().parents[1] / "CONFIG.md"
@@ -1040,6 +1040,37 @@ class TestCli:
         cfg_path.write_text(_with_line(SMOKE_CONFIG, line))
         assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["lengthscale = inf"],
+            ["lengthscale = nan"],
+            ["variance = inf"],
+            ["noise_variance = inf"],
+            ["noise_variance = nan"],
+            ["density_lower = -inf"],
+            ["density_upper = inf"],
+            ["density = gaussian", "density_mean = nan"],
+            ["density = gaussian", "density_std = inf"],
+            ["dispersion_lengthscales = 2.0 inf"],
+            ["dispersion_lengthscales = nan"],
+        ],
+        ids=lambda lines: lines[-1].replace(" = ", "=").replace(" ", ","),
+    )
+    def test_non_finite_model_value_exit_2(self, tmp_path, capsys, lines):
+        # Refused where the kernel, density or noise model is built, before
+        # any cell runs.
+        text = SMOKE_CONFIG
+        for line in lines:
+            text = _with_line(text, line)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        with pytest.raises(SparseGPError, match="finite"):
+            config.parse_config(str(cfg_path))
+        assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     def test_undecodable_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"

@@ -68,6 +68,21 @@ class TestEval:
         with pytest.raises(InvalidHyperparameterError):
             kernels.matern_half_integer(-1, 1.0, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_values_rejected(self, bad):
+        builders = [
+            lambda: kernels.squared_exponential(bad, [1.0]),
+            lambda: kernels.squared_exponential(1.0, [1.0, bad]),
+            lambda: kernels.matern_half_integer(1, bad, [1.0]),
+            lambda: kernels.GaussianDensity([0.0, bad], [1.0, 1.0]),
+            lambda: kernels.GaussianDensity([0.0], [bad]),
+            lambda: kernels.UniformDensity([bad], [1.0]),
+            lambda: kernels.UniformDensity([0.0], [bad]),
+        ]
+        for build in builders:
+            with pytest.raises(InvalidHyperparameterError):
+                build()
+
 
 class TestGram:
     def test_single_point(self):
