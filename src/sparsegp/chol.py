@@ -9,7 +9,8 @@ C-ordered A that view is the transpose, whose lower triangle LAPACK reads:
 A's upper triangle, equal to the lower one for the library's exactly
 symmetric Grams and within the symmetry check's tolerance of it otherwise.
 A :class:`Packed` Gram holds the lower triangle alone, in LAPACK's
-rectangular full packed (RFP) storage, N(N+1)/2 floats.  It enters through
+rectangular full packed (RFP) storage, N(N+1)/2 floats, which it reads and
+writes through two views that state the layout once.  It enters through
 :func:`as_packed`, which refuses a packed factor, and cannot be asymmetric,
 so it only passes a finiteness check before LAPACK ``dpftrf`` factors it in
 its own storage: the Gram is consumed, and the factor takes its memory.
@@ -73,12 +74,14 @@ class Packed:
     """The lower triangle of an N x N matrix in rectangular full packed storage.
 
     LAPACK's RFP layout (``transr='N'``, ``uplo='L'``) keeps the N(N+1)/2
-    entries in ``rfp``, a column-major (N + 1 - N % 2) x n1 array with
-    n1 = ceil(N/2), written flat: for j < n1, the part of column j on and
-    below the diagonal is contiguous (one row lower for even N), and the
-    triangle of the trailing N - n1 rows and columns lies transposed above
-    it.  ``size`` counts the stored floats and ``shape`` is the matrix's, as
-    for ``scipy.sparse``.
+    entries in ``rfp``, a column-major (N + off) x n1 array R written flat,
+    with n1 = ceil(N/2) and off = 1 - N % 2.  ``__init__`` states the layout
+    once, as two views whose lower trapezoids hold the lower triangle: the
+    leading N x n1 columns (``R[off:]``) and the trailing (N - n1) x (N - n1)
+    triangle, stored transposed above them (``R[:N - n1, 1 - off:].T``).
+    Every other method reads and writes the matrix through these views.
+    ``size`` counts the stored floats and ``shape`` is the matrix's, as for
+    ``scipy.sparse``.
 
     A Packed with a ``source`` is a Gram: it is symmetric (the lower
     triangle is mirrored above the diagonal), and ``source(packed)`` writes
@@ -98,8 +101,16 @@ class Packed:
         if rfp.shape != (dim * (dim + 1) // 2,):
             raise DimensionMismatchError(f"{rfp.shape} storage for a packed {dim} x {dim} matrix")
         self.rfp, self.dim, self.source = rfp, dim, source
-        self._n1, self._off = (dim + 1) // 2, 1 - dim % 2
-        self._grid = rfp.reshape((dim + self._off, self._n1), order="F")
+        n1, off = (dim + 1) // 2, 1 - dim % 2
+        R = rfp.reshape((dim + off, n1), order="F")
+        self._lead, self._trail = R[off:], R[: dim - n1, 1 - off :].T
+
+    @classmethod
+    def from_source(cls, dim: int, source: Callable[[Packed], None]) -> Packed:
+        """A Gram in new storage, written by its ``source``."""
+        packed = cls(np.empty(dim * (dim + 1) // 2), dim, source)
+        source(packed)
+        return packed
 
     @property
     def size(self) -> int:
@@ -117,62 +128,46 @@ class Packed:
         """Write the lower triangle of an exactly symmetric matrix A into the storage.
 
         ``block(r, c)`` returns the entries ``A[r, c]`` at two slices as an
-        array, and is asked for the entries of ``rows`` storage columns at a
-        time, some from above the diagonal.  Row q of the storage's C-ordered
-        (n1, N + off) view is RFP column q: row i = q + n1 - 1 + off of the
-        trailing triangle (its columns n1..i), then A's column q from the
-        diagonal down, read as row q from the diagonal on.
+        array, and is asked for at most ``rows`` rows of A at a time, some
+        entries from above the diagonal.  The leading view is written a few
+        of its columns at a time, each read as A's row from the diagonal on,
+        and the trailing one a few of its rows at a time; a mask keeps each
+        tile's lower-triangle share.
         """
-        n, n1, off = self.dim, self._n1, self._off
-        rt = self.rfp.reshape(n1, n + off)
-        for r0 in range(0, n1, rows):
-            r1 = min(n1, r0 + rows)
-            tile = block(slice(r0, r1), slice(r0, n))
-            for q in range(r0, r1):
-                rt[q, q + off :] = tile[q - r0, q - r0 :]
-            lo, hi = max(n1, r0 + n1 - 1 + off), r1 + n1 - 1 + off
-            if lo < hi:
-                tile = block(slice(lo, hi), slice(n1, hi))
-                for i in range(lo, hi):
-                    rt[i - n1 + 1 - off, : i - n1 + 1] = tile[i - lo, : i - n1 + 1]
-
-    def _diagonal_views(self) -> tuple[np.ndarray, np.ndarray]:
-        # The leading n1 diagonal entries, then the trailing ones, as strided
-        # views of the buffer.
-        n1, off, step = self._n1, self._off, self._grid.shape[0] + 1
-        right = (1 - off) * self._grid.shape[0]
-        return (
-            self.rfp[off : off + n1 * step : step],
-            self.rfp[right : right + (self.dim - n1) * step : step],
-        )
+        lead, trail = self._lead, self._trail
+        n, n1 = lead.shape
+        upper = ~np.tri(min(rows, n1), n, -1, dtype=bool)
+        for c0 in range(0, n1, rows):
+            c1 = min(c0 + rows, n1)
+            tile = block(slice(c0, c1), slice(c0, n))
+            np.copyto(lead[c0:, c0:c1].T, tile, where=upper[: c1 - c0, : n - c0])
+        for r0 in range(0, n - n1, rows):
+            r1 = min(r0 + rows, n - n1)
+            tile = block(slice(n1 + r0, n1 + r1), slice(n1, n1 + r1))
+            np.copyto(trail[r0:r1, :r1], tile, where=np.tri(r1 - r0, r1, r0, dtype=bool))
 
     def diagonal(self) -> np.ndarray:
-        return np.concatenate(self._diagonal_views())
+        return np.concatenate((self._lead.diagonal(), self._trail.diagonal()))
 
     def fill_diagonal(self, values) -> None:
-        left, right = self._diagonal_views()
-        left[:] = values[: self._n1]
-        right[:] = values[self._n1 :]
+        n1 = self._lead.shape[1]
+        np.fill_diagonal(self._lead, values[:n1])
+        np.fill_diagonal(self._trail, values[n1:])
 
     def column(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Column j of a symmetric matrix, read from at most three slices of storage."""
-        R, n1, off = self._grid, self._n1, self._off
+        """Column j of a symmetric matrix, read from at most three slices of the views."""
+        lead = self._lead
+        n1 = lead.shape[1]
         col = np.empty(self.dim) if out is None else out
         if j < n1:
-            col[:j] = R[j + off, :j]
-            col[j:] = R[j + off :, j]
+            col[:j] = lead[j, :j]
+            col[j:] = lead[j:, j]
         else:
-            jj = j - n1
-            col[:n1] = R[j + off]
-            col[n1:j] = R[:jj, jj + 1 - off]
-            col[j:] = R[jj, jj + 1 - off :]
+            trail, jj = self._trail, j - n1
+            col[:n1] = lead[j]
+            col[n1:j] = trail[jj, :jj]
+            col[j:] = trail[jj:, jj]
         return col
-
-    def _triangles(self):
-        # Two views whose lower trapezoids together hold the lower triangle:
-        # columns 0..n1-1 of every row, then the trailing n2 x n2 triangle.
-        R, n1, off = self._grid, self._n1, self._off
-        return (R[off:], 0), (R[: self.dim - n1, 1 - off :].T, n1)
 
     def unpack(self) -> np.ndarray:
         """The full N x N matrix, F-ordered."""
@@ -185,7 +180,7 @@ class Packed:
         return A
 
     def __matmul__(self, V) -> np.ndarray:
-        """``A @ V`` for a vector or block V, by column panels of the storage.
+        """``A @ V`` for a vector or block V, by column panels of each view.
 
         Each panel of the lower triangle is read for its own product and,
         for a symmetric A, once more, while it is in cache, for its
@@ -195,7 +190,7 @@ class Packed:
         if V.shape[:1] != (self.dim,):
             raise DimensionMismatchError(f"cannot apply a {self.shape} matrix to {V.shape}")
         out = np.zeros(V.shape)
-        for T, r in self._triangles():
+        for T, r in ((self._lead, 0), (self._trail, self._lead.shape[1])):
             W, Y = V[r:], out[r:]
             for c0 in range(0, T.shape[1], _PANEL):
                 c1 = min(c0 + _PANEL, T.shape[1])
@@ -239,10 +234,7 @@ def as_packed(A) -> Packed:
         if packed.size:
             packed.rfp[:] = dtrttf(column_major, transr="N", uplo="L")[0]
 
-    n = A.shape[0]
-    packed = Packed(np.empty(n * (n + 1) // 2), n, source=source)
-    source(packed)
-    return packed
+    return Packed.from_source(A.shape[0], source)
 
 
 @dataclass(frozen=True)
@@ -279,10 +271,10 @@ def factor(A: np.ndarray | Packed) -> LowerFactor:
     transpose view, so LAPACK reads A's upper triangle.  For an exactly
     symmetric A that is the lower triangle and L is bit for bit
     ``scipy.linalg.cholesky(A, lower=True)``; otherwise the symmetry check
-    bounds the difference.  That view is copied once into an F-ordered
-    buffer, which becomes L, and A is never written.  ``dpotrf`` writes one
-    triangle only, so a level that fails is undone from the untouched mirror
-    triangle and the saved diagonal before the next is tried.
+    bounds the difference.  Each level copies that view afresh into one
+    F-ordered work buffer, which becomes L, so A is never written; ``dpotrf``
+    zeroes the buffer's upper triangle even when a level fails, which is why
+    each level starts from a fresh copy.
 
     A :class:`Packed` A, read through :func:`as_packed`, is only checked for
     finiteness, and LAPACK ``dpftrf`` factors it in its own RFP storage, so
@@ -309,17 +301,15 @@ def factor(A: np.ndarray | Packed) -> LowerFactor:
         return LowerFactor(np.zeros((0, 0)), 0.0)
     column_major = A.T if A.flags.c_contiguous else A
     diag = column_major.diagonal().copy()
-    work = column_major.copy(order="F")
+    work = np.empty((m, m), order="F")
 
     def attempt(d: np.ndarray) -> np.ndarray | None:
+        work[...] = column_major
         np.fill_diagonal(work, d)
-        L, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
+        L, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
         if info == 0:
-            for j in range(1, m):  # dpotrf leaves the input above the diagonal
-                L[:j, j] = 0.0
             return L
         _check_info("dpotrf", info)
-        _restore_lower(work, diag)
         return None
 
     return _escalate(diag, attempt)
@@ -348,7 +338,7 @@ def _factor_packed(A: Packed) -> LowerFactor:
 
 
 def _escalate(diag: np.ndarray, attempt) -> LowerFactor:
-    # Try each jitter level; `attempt` returns L, or None after undoing its work.
+    # Try each jitter level; `attempt` returns L, or None when its level fails.
     mean_diag = float(np.mean(diag))
     for level in DEFAULT_JITTER_LEVELS:
         jitter = level * mean_diag
@@ -375,13 +365,6 @@ def _checked_full(A: np.ndarray) -> np.ndarray:
     if asymmetry > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
         raise AsymmetricInputError("input matrix is not symmetric within tolerance")
     return A
-
-
-def _restore_lower(F: np.ndarray, diag: np.ndarray) -> None:
-    """Rewrite an F-ordered F's lower triangle from its upper one, and its diagonal."""
-    for j in range(F.shape[0] - 1):
-        F[j + 1 :, j] = F[j, j + 1 :]
-    np.fill_diagonal(F, diag)
 
 
 def _asymmetry_and_scale(A: np.ndarray) -> tuple[float, float]:
@@ -413,55 +396,44 @@ def solve_lower(L: np.ndarray | Packed, b, transpose: bool = False) -> np.ndarra
     """Solve ``L x = b``, or ``L^T x = b`` with ``transpose``, for lower-triangular L.
 
     ``b`` is a vector or a matrix of right-hand sides; only L's lower
-    triangle is read.  LAPACK sees the same bytes in the same orientation as
-    under SciPy's ``scipy.linalg`` triangular solver with ``lower=True``: an
-    F-contiguous L (a 1 x 1 one included) is passed as is, any other as its
-    transpose view, upper-triangular and F-contiguous, so no copy is made.
-    Solving the other orientation of a C-ordered L would copy it and change
-    the last bits of the result.  A :class:`Packed` L (a factor :func:`factor`
-    made in packed storage, whose diagonal has no zero) is solved in that
-    storage by LAPACK ``dtfsm``.
+    triangle is read.  A full L is solved by LAPACK ``dtrtrs``, which sees the
+    same bytes in the same orientation as under SciPy's ``scipy.linalg``
+    triangular solver with ``lower=True``: an F-contiguous L (a 1 x 1 one
+    included) is passed as is, any other as its transpose view,
+    upper-triangular and F-contiguous, so no copy is made.  Solving the other
+    orientation of a C-ordered L would copy it and change the last bits of
+    the result.  A :class:`Packed` L (a factor :func:`factor` made in packed
+    storage, whose diagonal has no zero) is solved in that storage by LAPACK
+    ``dtfsm``.  Both storages share the shape check and an empty b's result.
 
     Raises
     ------
     DimensionMismatchError
         If L is not square or b's leading dimension is not L's.
     NotPositiveDefiniteError
-        If L has a zero on its diagonal.
+        If a full L has a zero on its diagonal.
     """
-    if isinstance(L, Packed):
-        return _solve_packed(L, np.asarray(b), transpose)
-    L = np.asarray(L)
     b = np.asarray(b)
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or b.shape[:1] != L.shape[:1]:
+    if len(L.shape) != 2 or L.shape[0] != L.shape[1] or b.shape[:1] != L.shape[:1]:
         raise DimensionMismatchError(
             f"cannot solve a system of shape {L.shape} against {b.shape}"
         )
     if b.size == 0:
         return np.empty_like(b, dtype=float)
+    if isinstance(L, Packed):
+        x = dtfsm(
+            1.0, L.rfp, b.reshape(L.dim, -1), transr="N", side="L", uplo="L",
+            trans="T" if transpose else "N",
+        )
+        return x.reshape(b.shape)
     if L.flags.f_contiguous:
         x, info = dtrtrs(L, b, lower=1, trans=int(transpose))
     else:
         x, info = dtrtrs(L.T, b, lower=0, trans=int(not transpose))
     if info > 0:
         raise NotPositiveDefiniteError(f"zero on the diagonal of the factor at row {info - 1}")
-    if info < 0:
-        raise DimensionMismatchError(f"LAPACK dtrtrs rejected argument {-info}")
+    _check_info("dtrtrs", info)
     return x
-
-
-def _solve_packed(L: Packed, b: np.ndarray, transpose: bool) -> np.ndarray:
-    if b.shape[:1] != L.shape[:1]:
-        raise DimensionMismatchError(
-            f"cannot solve a system of shape {L.shape} against {b.shape}"
-        )
-    if b.size == 0:
-        return np.empty_like(b, dtype=float)
-    x = dtfsm(
-        1.0, L.rfp, b.reshape(L.dim, -1), transr="N", side="L", uplo="L",
-        trans="T" if transpose else "N",
-    )
-    return x.reshape(b.shape)
 
 
 def rank_one_update(f: LowerFactor, v: np.ndarray) -> LowerFactor:

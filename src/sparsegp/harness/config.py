@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .. import bounds, inducing, kernels
-from ..errors import ConfigError
+from ..errors import ConfigError, InvalidHyperparameterError
 from ..gp_exact import DENSE_LIMIT, NoiseModel
 
 METHODS = ("points-kdpp", "points-uniform", "points-greedy", "eigvec", "eigfunc")
@@ -152,26 +152,36 @@ def _per_dim(section: dict[str, str], key: str, dim: int) -> list[float]:
     return values * dim if len(values) == 1 else values
 
 
+def _model(keys: str, make, *args):
+    """``make(*args)``; an InvalidHyperparameterError is a ConfigError naming ``keys``."""
+    try:
+        return make(*args)
+    except InvalidHyperparameterError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
     # Every key is read, also one the kind or rule does not use, so a bad
-    # value is reported whatever the experiment runs.  Ranges that KernelSpec,
-    # the densities and NoiseModel enforce are left to them.
+    # value is reported whatever the experiment runs; both densities are built
+    # for that.  Ranges that KernelSpec, the densities and NoiseModel enforce
+    # are left to them.
     read = functools.partial(_read, section)
     kind = _choice(section, "kind", KINDS)
     variance = read("variance", float, "a positive float")
     ells = read("lengthscale", _floats, "positive floats", lambda ells: len(ells) > 0)
     order = read("matern_order", int, "an integer k >= 0", lambda k: k >= 0)
     if _choice(section, "kernel", ("se", "matern")) == "se":
-        kernel = kernels.squared_exponential(variance, ells)
+        family = kernels.squared_exponential
     else:
-        kernel = kernels.matern_half_integer(order, variance, ells)
+        family = functools.partial(kernels.matern_half_integer, order)
+    kernel = _model("variance, lengthscale", family, variance, ells)
     mean, std, lower, upper = (
         _per_dim(section, f"density_{end}", kernel.dim) for end in ("mean", "std", "lower", "upper")
     )
-    if _choice(section, "density", ("gaussian", "uniform")) == "gaussian":
-        density = kernels.GaussianDensity(mean, std)
-    else:
-        density = kernels.UniformDensity(lower, upper)
+    gaussian = _model("density_mean, density_std", kernels.GaussianDensity, mean, std)
+    uniform = _model("density_lower, density_upper", kernels.UniformDensity, lower, upper)
+    is_gaussian = _choice(section, "density", ("gaussian", "uniform")) == "gaussian"
+    density = gaussian if is_gaussian else uniform
     m_rule = MRule(
         _choice(section, "m_rule", M_RULES),
         m=read("m", int, "a positive int", lambda m: m >= 1),
@@ -196,7 +206,9 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         kind=kind,
         kernel=kernel,
         density=density,
-        noise=NoiseModel(read("noise_variance", float, "a positive float")),
+        noise=_model(
+            "noise_variance", NoiseModel, read("noise_variance", float, "a positive float")
+        ),
         n_grid=read(
             "n_grid",
             _ints,

@@ -200,10 +200,7 @@ def gram(kernel: KernelSpec, X, X2=None, packed: bool = False) -> np.ndarray | c
     if packed:
         if X2 is not None:
             raise DimensionMismatchError("a packed Gram is the square Gram of X alone")
-        n = X.shape[0]
-        K = chol.Packed(np.empty(n * (n + 1) // 2), n, source=partial(_write_packed, kernel, X))
-        K.source(K)
-        return K
+        return chol.Packed.from_source(X.shape[0], partial(_write_packed, kernel, X))
     X2m = X if X2 is None else _check_dims(kernel, X2)
     K = np.empty((X.shape[0], X2m.shape[0]))
     rows = max(1, _GRAM_TILE // max(1, K.shape[1]))
@@ -220,7 +217,7 @@ def _write_packed(kernel: KernelSpec, X: np.ndarray, K: chol.Packed) -> None:
     # The Gram of X into K's storage, a tile of rows at a time through three
     # tile-sized buffers (the tile's result and the two _rows buffers).
     n = X.shape[0]
-    rows = max(1, min(_GRAM_TILE // max(1, n), (n + 1) // 2))  # the storage has ceil(n/2) rows
+    rows = max(1, min(_GRAM_TILE // max(1, n), n))
     buffers = [np.empty(rows * n) for _ in range(3)]
 
     def block(r: slice, c: slice) -> np.ndarray:

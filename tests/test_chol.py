@@ -233,8 +233,8 @@ class TestFactorInPlace:
     @pytest.mark.parametrize("shift", [0.0, 5e-9])
     def test_jitter_retry_wider_than_a_tile(self, order, shift):
         # Duplicated points at n = 701 > _SYMMETRY_TILE, one failed level
-        # without the shift and two with it.  A full array's copy is undone
-        # from its mirror triangle, a packed Gram in place from its source.
+        # without the shift and two with it.  A full array is copied afresh
+        # at each level, a packed Gram is rewritten in place from its source.
         assert 701 > chol._SYMMETRY_TILE
         a = np.asarray(_rank_deficient_gram(701, shift), order=order)
         before = a.copy()
@@ -327,6 +327,11 @@ class TestPacked:
         assert np.array_equal(packed.diagonal(), np.diag(K))
         for j in range(n):
             assert np.array_equal(packed.column(j), K[:, j])
+        d = np.arange(1.0, n + 1)
+        packed.fill_diagonal(d)
+        np.fill_diagonal(K, d)
+        assert np.array_equal(packed.diagonal(), d)
+        assert np.array_equal(packed.unpack(), K)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 257, 600])
     def test_panel_products(self, n):

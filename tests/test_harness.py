@@ -194,6 +194,9 @@ class TestConfigParsing:
             "dispersion_lengthscales = x",
             "m_intercept = x",
             "matern_order = -1",
+            "density_std = nan",
+            "density_std = -1",
+            "density_mean = inf",
         ],
         ids=[
             "eps-negative",
@@ -225,6 +228,9 @@ class TestConfigParsing:
             "dispersion-lengthscales-not-float",
             "unused-intercept-not-float",
             "unused-matern-order-negative",
+            "unused-density-std-nan",
+            "unused-density-std-negative",
+            "unused-density-mean-infinite",
         ],
     )
     def test_documented_ranges_checked_when_parsed(self, line):
@@ -1070,6 +1076,29 @@ class TestCli:
             config.parse_config(str(cfg_path))
         assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize(
+        "line,keys",
+        [
+            ("variance = 0", "variance, lengthscale"),
+            ("lengthscale = 0", "variance, lengthscale"),
+            ("density_lower = -inf", "density_lower, density_upper"),
+            ("noise_variance = 0", "noise_variance"),
+        ],
+        ids=["variance", "lengthscale", "density-lower", "noise-variance"],
+    )
+    def test_model_value_error_names_experiment_and_keys(self, tmp_path, capsys, line, keys):
+        # The kernel, density or noise model refuses the value; the message
+        # says which experiment and which keys built it.
+        text = _with_line(SMOKE_CONFIG, line)
+        where = f"experiment 'smoke': {keys}: "
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            config.parse_config_text(text)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert where in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     def test_undecodable_config_exit_2(self, tmp_path):

@@ -104,7 +104,11 @@ class TestGram:
             assert np.all(np.diag(K) == 1.0)
             assert np.linalg.eigvalsh(K)[0] >= -1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 257])
+    @pytest.mark.parametrize(
+        "n,tile",
+        [pytest.param(n, None, id=str(n)) for n in (1, 2, 3, 7, 8, 257)]
+        + [pytest.param(n, 40, id=f"{n}-tile40") for n in (7, 8, 10, 11, 13, 257)],
+    )
     @pytest.mark.parametrize(
         "kernel",
         [
@@ -114,9 +118,14 @@ class TestGram:
             kernels.matern_half_integer(2, 1.3, [0.6, 1.1]),
         ],
     )
-    def test_packed_gram_is_the_lower_triangle_bit_for_bit(self, kernel, n):
+    def test_packed_gram_is_the_lower_triangle_bit_for_bit(self, kernel, n, tile, monkeypatch):
         # Odd and even N have the two RFP shapes; LAPACK's own packing of the
-        # full Gram is the reference.
+        # full Gram is the reference.  With a 40-element tile, N = 10 writes
+        # both views in tiles of 4 + 1 rows, N = 11 and 13 in tiles of 3 with a
+        # short last one in the trailing (11) or the leading (13) view, N = 7
+        # and 8 ask for more rows than a view has, and N = 257 one row a time.
+        if tile is not None:
+            monkeypatch.setattr(kernels, "_GRAM_TILE", tile)
         X = np.random.default_rng(n).normal(0, 1, (n, kernel.dim))
         K = kernels.gram(kernel, X)
         packed = kernels.gram(kernel, X, packed=True)
