@@ -14,6 +14,8 @@ writes through two views that state the layout once.  It enters through
 :func:`as_packed`, which refuses a packed factor, and cannot be asymmetric,
 so it only passes a finiteness check before LAPACK ``dpftrf`` factors it in
 its own storage: the Gram is consumed, and the factor takes its memory.
+``factor(A, shift)`` factors ``A + shift*I`` (a noisy Gram, a jittered Kuu)
+by shifting the diagonal it factors, so no caller forms the sum or shifts A.
 
 Besides plain factorization with an escalating jitter schedule, this module
 provides three primitives that edit a factor of a principal submatrix as
@@ -239,12 +241,12 @@ def as_packed(A) -> Packed:
 
 @dataclass(frozen=True)
 class LowerFactor:
-    """Lower-triangular Cholesky factor, L @ L.T == (jittered) source matrix.
+    """Lower-triangular Cholesky factor: L @ L.T == source + (shift + jitter_used) I.
 
     ``L`` is a full array, or a :class:`Packed` one for a factor made from a
-    packed Gram.  ``jitter_used`` is the multiple of the identity that was
-    added to the source diagonal before the factorization succeeded (0.0 in
-    the usual well-conditioned case).
+    packed Gram.  ``jitter_used`` is the multiple of the identity that
+    :func:`factor` added on top of its ``shift`` before the factorization
+    succeeded (0.0 in the usual well-conditioned case).
     """
 
     L: np.ndarray | Packed
@@ -260,27 +262,28 @@ class LowerFactor:
         return L @ L.T
 
 
-def factor(A: np.ndarray | Packed) -> LowerFactor:
-    """Factor a symmetric PSD matrix, escalating through a jitter schedule.
+def factor(A: np.ndarray | Packed, shift: float = 0.0) -> LowerFactor:
+    """Factor ``A + shift*I`` for a symmetric A, escalating through a jitter schedule.
 
-    The amounts added to the diagonal, tried in order, are
-    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A))``.
+    The amounts added to the shifted diagonal, tried in order, are
+    ``DEFAULT_JITTER_LEVELS`` scaled by ``mean(diag(A) + shift)``;
+    ``jitter_used`` is the amount that succeeded, without the shift.
 
     A full A passes the symmetry and finiteness checks, and LAPACK ``dpotrf``
     factors its column-major view: a C-ordered A is read through its
     transpose view, so LAPACK reads A's upper triangle.  For an exactly
     symmetric A that is the lower triangle and L is bit for bit
-    ``scipy.linalg.cholesky(A, lower=True)``; otherwise the symmetry check
-    bounds the difference.  Each level copies that view afresh into one
-    F-ordered work buffer, which becomes L, so A is never written; ``dpotrf``
-    zeroes the buffer's upper triangle even when a level fails, which is why
-    each level starts from a fresh copy.
+    ``scipy.linalg.cholesky(A + shift*I, lower=True)``; otherwise the
+    symmetry check bounds the difference.  Each level copies that view
+    afresh into one F-ordered work buffer, which becomes L, so A is never
+    written; ``dpotrf`` zeroes the buffer's upper triangle even when a level
+    fails, which is why each level starts from a fresh copy.
 
     A :class:`Packed` A, read through :func:`as_packed`, is only checked for
     finiteness, and LAPACK ``dpftrf`` factors it in its own RFP storage, so
     the Gram is consumed: L is a :class:`Packed` factor in that storage.  A
     level that fails is undone by rewriting the storage from A's ``source``
-    and its saved diagonal.
+    and putting back the diagonal A had on entry.
 
     Either way the checks raise before anything is written, and a failure at
     every level leaves A as it was.
@@ -288,19 +291,20 @@ def factor(A: np.ndarray | Packed) -> LowerFactor:
     Raises
     ------
     NotFactorizableError
-        If A holds a NaN or an infinity, or if every jitter level fails.
+        If A or the shift is not finite, or if every jitter level fails.
     AsymmetricInputError
         If A is a full array and ``max|A - A.T| > 1e-10 * max|A|``, or a
         packed factor.
     """
+    if not np.isfinite(shift):
+        raise NotFactorizableError(f"shift {shift!r} is not finite")
     if isinstance(A, Packed):
-        return _factor_packed(as_packed(A))
+        return _factor_packed(as_packed(A), shift)
     A = _checked_full(np.asarray(A, dtype=float))
     m = A.shape[0]
     if m == 0:
         return LowerFactor(np.zeros((0, 0)), 0.0)
     column_major = A.T if A.flags.c_contiguous else A
-    diag = column_major.diagonal().copy()
     work = np.empty((m, m), order="F")
 
     def attempt(d: np.ndarray) -> np.ndarray | None:
@@ -312,10 +316,10 @@ def factor(A: np.ndarray | Packed) -> LowerFactor:
         _check_info("dpotrf", info)
         return None
 
-    return _escalate(diag, attempt)
+    return _escalate(column_major.diagonal() + shift, attempt)
 
 
-def _factor_packed(A: Packed) -> LowerFactor:
+def _factor_packed(A: Packed, shift: float) -> LowerFactor:
     n = A.dim
     if n == 0:
         return LowerFactor(np.zeros((0, 0)), 0.0)
@@ -334,11 +338,11 @@ def _factor_packed(A: Packed) -> LowerFactor:
         A.fill_diagonal(diag)
         return None
 
-    return _escalate(diag, attempt)
+    return _escalate(diag + shift, attempt)
 
 
 def _escalate(diag: np.ndarray, attempt) -> LowerFactor:
-    # Try each jitter level; `attempt` returns L, or None when its level fails.
+    # Try each jitter level on `diag`; `attempt` returns L, or None when its level fails.
     mean_diag = float(np.mean(diag))
     for level in DEFAULT_JITTER_LEVELS:
         jitter = level * mean_diag

@@ -2,11 +2,11 @@
 
 All solves route through :mod:`sparsegp.chol` with the default jitter
 schedule; the jitter actually used is visible on the returned factors.  The
-prior mean is identically zero.  :func:`dense_system` builds the one
-:class:`DenseSystem` of an instance and refuses N above ``DENSE_LIMIT``; a
-caller that reads the Gram before it is factored builds it with
-:func:`dense_gram` (a packed lower triangle, ``chol.Packed``), reads it, and
-then factors it in its own storage with :meth:`DenseSystem.from_gram`, which
+prior mean is identically zero.  :func:`dense_system` returns the one factor
+of K + noise*I of an instance, ``chol.factor(K, noise.variance)``, and
+refuses N above ``DENSE_LIMIT``; a caller that reads the Gram before it is
+factored builds it with :func:`dense_gram` (a packed lower triangle,
+``chol.Packed``), reads it, and then factors it with that call, which
 consumes it.  The factor stays packed: solves against it run in that
 storage, and a prior draw applies it by column panels.
 :func:`posterior` builds its own; :func:`sample_prior_outputs` and
@@ -26,7 +26,6 @@ from .errors import (
     DenseLimitExceededError,
     DimensionMismatchError,
     InvalidHyperparameterError,
-    SparseGPError,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -72,46 +71,6 @@ class NoiseModel:
             raise InvalidHyperparameterError("noise variance must be positive and finite")
 
 
-@dataclass(frozen=True)
-class DenseSystem:
-    """The factor of K + noise*I for an instance's noise-free Gram K, built once.
-
-    The factor is computed in K's own packed storage, so the system holds one
-    packed N x N triangle; whatever reads K itself (a selection, the
-    lambda_max estimate) runs before the system is built.
-    """
-
-    noisy: chol.LowerFactor
-
-    @classmethod
-    def from_gram(cls, K: np.ndarray | chol.Packed, noise: NoiseModel) -> "DenseSystem":
-        """Factor ``K + noise*I`` in the storage of a packed Gram K, which is consumed.
-
-        On success K's storage holds the factor (``noisy.L`` shares it) and K
-        must not be read as a Gram again; if the factor fails, K is left as
-        it was.  A full array enters through ``chol.as_packed``: it is
-        checked, packed into new storage, and never written.
-
-        Raises
-        ------
-        NotFactorizableError
-            If K holds a non-finite entry, or if every jitter level fails.
-        AsymmetricInputError
-            If a full K is not symmetric within ``chol.factor``'s tolerance,
-            or if K is a packed factor (a :class:`chol.Packed` with no
-            ``source``) rather than a Gram.
-        """
-        K = chol.as_packed(K)
-        k_diag = K.diagonal()
-        K.fill_diagonal(k_diag + noise.variance)
-        try:
-            noisy = chol.factor(K)
-        except SparseGPError:
-            K.fill_diagonal(k_diag)
-            raise
-        return cls(noisy)
-
-
 def dense_gram(X, kernel: kernels.KernelSpec) -> chol.Packed:
     """The packed N x N Gram of an instance; refuses N above ``DENSE_LIMIT``."""
     n = len(X)
@@ -120,16 +79,16 @@ def dense_gram(X, kernel: kernels.KernelSpec) -> chol.Packed:
     return kernels.gram(kernel, X, packed=True)
 
 
-def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> DenseSystem:
-    """The O(N^3) part of an instance, which every dense entry point reads."""
-    return DenseSystem.from_gram(dense_gram(X, kernel), noise)
+def dense_system(X, kernel: kernels.KernelSpec, noise: NoiseModel) -> chol.LowerFactor:
+    """The factor of K + noise*I, the O(N^3) part every dense entry point reads."""
+    return chol.factor(dense_gram(X, kernel), noise.variance)
 
 
-def log_marginal_likelihood(system: DenseSystem, y) -> float:
-    """Log density of y under the zero-mean prior with noisy Gram K_ff + noise*I."""
-    alpha = chol.solve_lower(system.noisy.L, y)
+def log_marginal_likelihood(noisy: chol.LowerFactor, y) -> float:
+    """Log density of y under the zero-mean prior, from the factor of K_ff + noise*I."""
+    alpha = chol.solve_lower(noisy.L, y)
     quad = float(alpha @ alpha)
-    return -0.5 * quad - 0.5 * chol.log_det(system.noisy) - 0.5 * len(y) * LOG_2PI
+    return -0.5 * quad - 0.5 * chol.log_det(noisy) - 0.5 * len(y) * LOG_2PI
 
 
 def posterior(
@@ -137,7 +96,7 @@ def posterior(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean vector and full covariance matrix at the query points."""
     X_query = kernels.as_points(X_query)
-    L = dense_system(data.X, kernel, noise).noisy.L
+    L = dense_system(data.X, kernel, noise).L
     Ks = kernels.gram(kernel, data.X, X_query)
     V = chol.solve_lower(L, Ks)
     alpha = chol.solve_lower(L, data.y)
@@ -146,7 +105,7 @@ def posterior(
     return mean, 0.5 * (cov + cov.T)
 
 
-def sample_prior_outputs(system: DenseSystem, seed: int) -> np.ndarray:
-    """Draw y ~ N(0, K_ff + noise*I) from a built system; reproducible for a fixed seed."""
-    L = system.noisy.L
+def sample_prior_outputs(noisy: chol.LowerFactor, seed: int) -> np.ndarray:
+    """Draw y ~ N(0, K_ff + noise*I) from its factor; reproducible for a fixed seed."""
+    L = noisy.L
     return L @ np.random.default_rng(seed).standard_normal(L.shape[0])

@@ -201,7 +201,7 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
     if kind == "m-sweep" and not m_grid:
         raise ConfigError("m-sweep experiments need a nonempty m_grid")
     out_svg = read("out_svg", str, "a nonempty filename", bool)
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         name=name,
         kind=kind,
         kernel=kernel,
@@ -241,6 +241,10 @@ def _build_experiment(name: str, section: dict[str, str]) -> ExperimentConfig:
         out_csv=read("out_csv", str, "a nonempty filename", bool) or f"{name}.csv",
         out_svg=None if kind == "dispersion" else out_svg,  # the demo writes no chart
     )
+    m = m_rule.resolve(cfg.n_grid[0], cfg) if kind == "dispersion" else None
+    if m is not None and not 2 <= m < cfg.n_grid[0]:  # the demo runs at the first N only
+        raise ConfigError(f"m must give 2 <= M < N={cfg.n_grid[0]} in a dispersion demo, got M={m}")
+    return cfg
 
 
 def parse_config_text(text: str) -> list[ExperimentConfig]:

@@ -76,7 +76,7 @@ def check_expected_trace_bound(n_instances: int) -> OracleCheck:
         expected_t = 0.0
         for subset, prob in table.items():
             ops = svgp.feature_operators(svgp.Points(X[list(subset)]), kern, X)
-            expected_t += prob * svgp.trace_gap(kern, X, ops)
+            expected_t += prob * svgp.trace_gap(ops)
         lam = np.linalg.eigvalsh(K)[::-1]
         bound = bounds.nystrom_trace_bound(float(np.sum(lam[m:])), m, n, 1.0, 0.0)
         worst_gap = max(worst_gap, expected_t - bound)

@@ -141,8 +141,8 @@ def _run_dataset(
     # The dataset's one N x N Gram is built first, packed (dense_gram refuses
     # N above DENSE_LIMIT before any work).  Every selection reads it, an
     # eigvec one through one eigendecomposition at the largest M, and so does
-    # each selection's whitening and lambda_max estimate; then the dense
-    # system factors K + s2 I in K's own storage, so a cell holds one packed
+    # each selection's whitening and lambda_max estimate; then chol.factor
+    # factors K + s2 I in K's own storage, so a cell holds one packed
     # triangle, and y and the dataset's one log marginal likelihood read
     # that factor.
     # Each phase has its own seed, so the order changes no draw.
@@ -165,7 +165,7 @@ def _run_dataset(
         res = svgp.residual(ind, cfg.kernel, X, K)
         picks.append((ind, res, selected - start, time.perf_counter() - selected))
     t2 = time.perf_counter()
-    dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
+    dense = chol.factor(K, cfg.noise.variance)
     del K  # its memory is the factor's now
     y = gp_exact.sample_prior_outputs(dense, _derived_seed(seed, n, key_m, _PHASE_OUTPUTS))
     lml = gp_exact.log_marginal_likelihood(dense, y)
@@ -228,9 +228,9 @@ def _cluster_sample(n: int, seed: int) -> np.ndarray:
 
 
 def _mean_nn_distance(points: np.ndarray) -> float:
-    d = np.abs(points[:, None, 0] - points[None, :, 0])
-    np.fill_diagonal(d, np.inf)
-    return float(np.mean(np.min(d, axis=1)))
+    # In 1-D a point's nearest neighbour is next to it in sorted order.
+    gaps = np.diff(np.sort(points[:, 0]))
+    return float(np.mean(np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))))
 
 
 def run_dispersion_demo(cfg: ExperimentConfig) -> tuple[list[tuple], dict[str, float]]:

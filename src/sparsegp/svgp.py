@@ -5,15 +5,17 @@ set of linear functionals of f; its one method ``covariances(kernel, X)``
 returns (Kuu, Kux), and :func:`feature_operators` and :func:`predict` share it.
 
 All bound evaluations run through the M x M whitened system (never a dense
-N x N solve), so their cost is O(N M^2).  The exact KL divergence is the one
-O(N^3) quantity: :func:`kl_exact` builds a :func:`gp_exact.dense_system`,
-which refuses N above ``gp_exact.DENSE_LIMIT``.
+N x N solve), so their cost is O(N M^2).  Whitening factors Kuu, or, when its
+pivots are too uneven, ``chol.factor(Kuu, jitter)``.  The exact KL divergence
+is the one O(N^3) quantity: :func:`kl_exact` factors K + noise*I by
+:func:`gp_exact.dense_system`, which refuses N above ``gp_exact.DENSE_LIMIT``.
 The standalone bound functions (:func:`elbo`, :func:`upper_bound`, ...) each
 whiten; a report whitens once per inducing set, in two steps.
 :func:`residual` reads the noise-free Gram K before it is factored: it
 whitens, and computes the trace gap and the largest residual eigenvalue.
-:func:`evaluate` then reads the y drawn from the caller's dense system and
-their :func:`gp_exact.log_marginal_likelihood`, one solve per dataset.
+:func:`evaluate` then reads the y drawn from the caller's factor of
+K + noise*I and their :func:`gp_exact.log_marginal_likelihood`, one solve per
+dataset.
 The largest residual eigenvalue (:func:`lambda_max_gap`) is a block Krylov
 Rayleigh-Ritz estimate: a few passes over the packed K, each applying the
 residual K - A^T A to a block of vectors, and a lower estimate of lambda_max.
@@ -232,7 +234,7 @@ def _whiten(ops: FeatureOperators) -> tuple[np.ndarray, chol.LowerFactor]:
     pivots = np.diag(f.L) ** 2
     if np.any(pivots < _WHITEN_PIVOT_RATIO * pivots.max(initial=0.0)):
         jitter = _WHITEN_PIVOT_RATIO * float(np.mean(np.diag(ops.Kuu)))
-        g = chol.factor(ops.Kuu + jitter * np.eye(len(pivots)))
+        g = chol.factor(ops.Kuu, jitter)
         f = chol.LowerFactor(g.L, jitter + g.jitter_used)
     A = chol.solve_lower(f.L, ops.Kuf)
     return A, f
@@ -298,10 +300,10 @@ def _trace_gap_from(kff_diag: np.ndarray, A: np.ndarray) -> float:
     return max(t, 0.0)
 
 
-def trace_gap(kernel: kernels.KernelSpec, X, ops: FeatureOperators) -> float:
-    """t = Tr(K_ff - Q_ff), computed without forming either matrix densely."""
+def trace_gap(ops: FeatureOperators) -> float:
+    """t = Tr(K_ff - Q_ff) at the inputs ``ops`` was built at, never forming either densely."""
     A, _ = _whiten(ops)
-    return _trace_gap_from(kernels.gram_diag(kernel, X), A)
+    return _trace_gap_from(ops.kff_diag, A)
 
 
 def lambda_max_gap(
@@ -366,7 +368,7 @@ def residual(
     """Whiten one inducing set at the inputs X and estimate lambda_max from their Gram K.
 
     K is only read, so it can be factored in place afterwards
-    (:meth:`gp_exact.DenseSystem.from_gram`).
+    (``chol.factor(K, noise.variance)``).
     """
     ops = feature_operators(inducing, kernel, X)
     if K.shape != (ops.Kuf.shape[1],) * 2:
@@ -425,8 +427,8 @@ def kl_exact(
     Evaluated as (log marginal likelihood) - (collapsed bound); the dense
     N^3 baseline restricts this to N <= ``gp_exact.DENSE_LIMIT``.
     """
-    system = gp_exact.dense_system(data.X, kernel, noise)
-    return _kl_from(gp_exact.log_marginal_likelihood(system, data.y), elbo(ops, data.y, noise))
+    noisy = gp_exact.dense_system(data.X, kernel, noise)
+    return _kl_from(gp_exact.log_marginal_likelihood(noisy, data.y), elbo(ops, data.y, noise))
 
 
 def _kl_from(lml: float, lower: float) -> float:

@@ -307,9 +307,9 @@ class TestFactorInPlace:
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite, also with the noise
         before = K.copy()
         with pytest.raises(NotFactorizableError):
-            gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
+            chol.factor(K, 0.1)
         assert K.tobytes() == before.tobytes()
-        assert "consumed" in gp_exact.DenseSystem.from_gram.__doc__
+        assert "consumed" in chol.factor.__doc__
 
 
 def _packed_gram(n, repeat=1):
@@ -348,8 +348,7 @@ class TestPacked:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 257, 600])
     def test_factor_rebuilds_the_noisy_gram(self, n):
         K, packed = _packed_gram(n)
-        system = gp_exact.DenseSystem.from_gram(packed, gp_exact.NoiseModel(0.1))
-        f = system.noisy
+        f = chol.factor(packed, 0.1)
         assert f.jitter_used == 0.0 and f.dim == n
         assert np.shares_memory(f.L.rfp, packed.rfp)
         L = f.L.unpack()
@@ -381,7 +380,7 @@ class TestPacked:
         with pytest.raises(error):
             chol.as_packed(a)
         with pytest.raises(error):
-            gp_exact.DenseSystem.from_gram(a, gp_exact.NoiseModel(0.1))
+            chol.factor(a, 0.1)
         assert a.tobytes() == before.tobytes()
 
     def test_non_finite_packed_gram_raises(self):
@@ -420,7 +419,7 @@ class TestPacked:
         X = np.random.default_rng(3).uniform(0.0, 5.0, size=(50, 1))
         kern = kernels.squared_exponential(1.0, [0.4])
         K = kernels.gram(kern, X, packed=True)
-        L = gp_exact.dense_system(X, kern, gp_exact.NoiseModel(10.0)).noisy.L
+        L = gp_exact.dense_system(X, kern, gp_exact.NoiseModel(10.0)).L
         assert not L.symmetric
         points = svgp.Points(X[:3])
         readers = [
@@ -431,7 +430,7 @@ class TestPacked:
             lambda G: inducing.kdpp_mcmc(G, 3, steps=10, seed=0),
             lambda G: svgp.lambda_max_gap(G, np.zeros((3, 50)), 50.0, 1.0),
             lambda G: svgp.residual(points, kern, X, G),
-            lambda G: gp_exact.DenseSystem.from_gram(G, gp_exact.NoiseModel(10.0)),
+            lambda G: chol.factor(G, 10.0),
         ]
         factor = chol.factor(K)
         for G in (L, factor.L, K):
@@ -440,6 +439,64 @@ class TestPacked:
                 with pytest.raises(AsymmetricInputError):
                     read(G)
                 assert G.rfp.tobytes() == before.tobytes()
+
+
+class TestShift:
+    """factor(A, s) factors A + s*I; jitter_used counts the jitter above s alone."""
+
+    # (n, repeat, shift, jitter level): a well-conditioned Gram, and a rank-5
+    # one whose negative shift makes the first two levels fail.
+    CASES = [(40, 1, 0.1, 0.0), (300, 60, -5e-9, 1e-8)]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n,repeat,shift,level", CASES)
+    def test_full_shift_bit_equal_to_factor_of_the_sum(self, n, repeat, shift, level, order):
+        K, _ = _packed_gram(n, repeat)
+        a = np.asarray(K, order=order)
+        f = chol.factor(a, shift)
+        g = chol.factor(np.asarray(K + shift * np.eye(n), order=order))
+        assert f.L.tobytes() == g.L.tobytes()
+        assert f.jitter_used == g.jitter_used == level * np.mean(np.diag(K) + shift)
+        assert np.array_equal(a, K)
+
+    @pytest.mark.parametrize("n,repeat,shift,level", CASES)
+    def test_packed_shift_bit_equal_to_factor_of_the_sum(self, n, repeat, shift, level):
+        K, packed = _packed_gram(n, repeat)
+        f = chol.factor(packed, shift)
+        _, summed = _packed_gram(n, repeat)
+        summed.fill_diagonal(summed.diagonal() + shift)
+        g = chol.factor(summed)
+        assert np.shares_memory(f.L.rfp, packed.rfp)
+        assert f.L.rfp.tobytes() == g.L.rfp.tobytes()
+        assert f.jitter_used == g.jitter_used == level * np.mean(np.diag(K) + shift)
+
+    def test_every_level_failing_leaves_a_full_array_unchanged(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3.5 and -0.5 with the shift
+        before = a.copy()
+        with pytest.raises(NotFactorizableError):
+            chol.factor(a, 0.5)
+        assert a.tobytes() == before.tobytes()
+
+    def test_every_level_failing_keeps_the_callers_packed_diagonal(self):
+        # The failed levels rewrite the storage from the source, which holds
+        # the unit diagonal; the diagonal the caller set is put back after.
+        _, packed = _packed_gram(8)
+        packed.fill_diagonal(np.full(8, -1.0))
+        before = packed.rfp.copy()
+        with pytest.raises(NotFactorizableError):
+            chol.factor(packed, 0.5)
+        assert packed.rfp.tobytes() == before.tobytes()
+        assert packed.symmetric
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_raises_before_writing(self, shift):
+        _, packed = _packed_gram(9)
+        before = packed.rfp.copy()
+        with pytest.raises(NotFactorizableError, match="shift"):
+            chol.factor(packed, shift)
+        with pytest.raises(NotFactorizableError, match="shift"):
+            chol.factor(np.eye(3), shift)
+        assert packed.rfp.tobytes() == before.tobytes()
 
 
 class TestRankOneUpdate:

@@ -59,7 +59,7 @@ class TestDenseSystem:
         monkeypatch.setattr(gp_exact, "DENSE_LIMIT", 3)
         X = np.arange(4.0)[:, None]
         noise = gp_exact.NoiseModel(0.1)
-        assert gp_exact.dense_system(X[:3], make_kernel(), noise).noisy.L.shape == (3, 3)
+        assert gp_exact.dense_system(X[:3], make_kernel(), noise).L.shape == (3, 3)
         with pytest.raises(DenseLimitExceededError):
             gp_exact.dense_system(X, make_kernel(), noise)
 
@@ -67,7 +67,7 @@ class TestDenseSystem:
         K = np.array([[1.0, 0.5], [0.2, 1.0]])
         before = K.copy()
         with pytest.raises(AsymmetricInputError):
-            gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
+            chol.factor(K, 0.1)
         assert K.tobytes() == before.tobytes()
 
     def test_factor_shares_the_gram_memory(self):
@@ -76,11 +76,11 @@ class TestDenseSystem:
         X = np.random.default_rng(3).normal(size=(300, 1))
         K = gp_exact.dense_gram(X, make_kernel())
         expected = chol.factor(kernels.gram(make_kernel(), X) + 0.1 * np.eye(300))
-        system = gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
-        assert isinstance(system.noisy.L, chol.Packed)
-        assert np.shares_memory(system.noisy.L.rfp, K.rfp)
-        assert np.allclose(system.noisy.L.unpack(), expected.L, rtol=0.0, atol=1e-12)
-        assert system.noisy.jitter_used == expected.jitter_used
+        noisy = chol.factor(K, 0.1)
+        assert isinstance(noisy.L, chol.Packed)
+        assert np.shares_memory(noisy.L.rfp, K.rfp)
+        assert np.allclose(noisy.L.unpack(), expected.L, rtol=0.0, atol=1e-12)
+        assert noisy.jitter_used == expected.jitter_used
 
     def test_factor_allocates_no_second_gram(self):
         # tracemalloc sees numpy's buffers: besides K, the factor needs only
@@ -89,7 +89,7 @@ class TestDenseSystem:
         K = gp_exact.dense_gram(X, make_kernel(ell=0.4))
         tracemalloc.start()
         try:
-            gp_exact.DenseSystem.from_gram(K, gp_exact.NoiseModel(0.1))
+            chol.factor(K, 0.1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -642,9 +642,9 @@ class TestRunners:
             events.append(("gram", K.shape))
             return K
 
-        def counting_factor(A, **kwargs):
+        def counting_factor(A, *args, **kwargs):
             events.append(("factor", A.shape))
-            return factor(A, **kwargs)
+            return factor(A, *args, **kwargs)
 
         def counting_eigh(A, *args, **kwargs):
             events.append(("eigh", A.shape))
@@ -717,13 +717,13 @@ class TestRunners:
         assert row.norm_y_sq == float(y @ y)
         seed = runners._derived_seed(1, 40, 8, runners._PHASE_OUTPUTS)
         z = np.random.default_rng(seed).standard_normal(40)
-        assert np.array_equal(y, dense.noisy.L @ z)
+        assert np.array_equal(y, dense.L @ z)
         X = runners._draw_inputs(
             cfg.density, 40, runners._derived_seed(1, 40, 8, runners._PHASE_DATA)
         )
         K = kernels.gram(cfg.kernel, X)
         full = chol.factor(K + cfg.noise.variance * np.eye(40)).L
-        assert np.allclose(dense.noisy.L.unpack(), full, rtol=0.0, atol=1e-13)
+        assert np.allclose(dense.L.unpack(), full, rtol=0.0, atol=1e-13)
 
     def test_m_sweep_rows_of_a_seed_share_one_dataset(self):
         # Every M of an m-sweep seed reads the X and y keyed by (seed, N)
@@ -737,7 +737,7 @@ class TestRunners:
             X = runners._draw_inputs(
                 cfg.density, n, runners._derived_seed(seed, n, 0, runners._PHASE_DATA)
             )
-            dense = gp_exact.DenseSystem.from_gram(gp_exact.dense_gram(X, cfg.kernel), cfg.noise)
+            dense = gp_exact.dense_system(X, cfg.kernel, cfg.noise)
             y = gp_exact.sample_prior_outputs(
                 dense, runners._derived_seed(seed, n, 0, runners._PHASE_OUTPUTS)
             )
@@ -765,7 +765,7 @@ class TestRunners:
             top = inducing.eigenvector_features(K.unpack(), X, row.m)
             ind = runners._select_inducing(cfg, X, K, row.m, 0, top)
             res = svgp.residual(ind, cfg.kernel, X, K)
-            dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
+            dense = chol.factor(K, cfg.noise.variance)
             y = gp_exact.sample_prior_outputs(
                 dense, runners._derived_seed(row.seed, n, 0, runners._PHASE_OUTPUTS)
             )
@@ -794,7 +794,7 @@ class TestRunners:
                 cfg, X, K, m, runners._derived_seed(seed, n, m, runners._PHASE_SELECT), None
             )
             res = svgp.residual(ind, cfg.kernel, X, K)
-            dense = gp_exact.DenseSystem.from_gram(K, cfg.noise)
+            dense = chol.factor(K, cfg.noise.variance)
             y = gp_exact.sample_prior_outputs(
                 dense, runners._derived_seed(seed, n, m, runners._PHASE_OUTPUTS)
             )
@@ -1099,6 +1099,24 @@ class TestCli:
         cfg_path.write_text(text)
         assert cli.main(["fixed-m", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert where in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("m", [1, 20], ids=["m-1", "m-equals-n"])
+    def test_dispersion_m_outside_two_to_n_exit_2(self, tmp_path, monkeypatch, capsys, m):
+        # The demo's chain needs 2 <= M < N at its one N; M = 1 printed an
+        # infinite mean distance, and M = N failed only once a cell ran.
+        def refuse(cfg):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(runners, "run_dispersion_demo", refuse)
+        text = SMOKE_CONFIG.replace("kind = fixed-m", "kind = dispersion")
+        text = _with_line(_with_line(text, "n_grid = 20"), f"m = {m}")
+        with pytest.raises(ConfigError, match=re.escape("experiment 'smoke': m must give")):
+            config.parse_config_text(text)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert cli.main(["dispersion", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert f"got M={m}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     def test_undecodable_config_exit_2(self, tmp_path):

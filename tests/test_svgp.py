@@ -50,7 +50,7 @@ def lambda_max(kern, X, ops, tol=1e-6):
     # The block Krylov estimate on the Gram at X, from the whitening and
     # trace gap svgp.residual computes.
     A, _ = svgp._whiten(ops)
-    t = svgp.trace_gap(kern, X, ops)
+    t = svgp.trace_gap(ops)
     return svgp.lambda_max_gap(kernels.gram(kern, X), A, t, kern.variance, tol)
 
 
@@ -158,14 +158,14 @@ class TestElbo:
             - 9 * kern.variance / (2 * noise.variance)
         )
         assert svgp.elbo(ops, data.y, noise) == pytest.approx(expected, abs=1e-10)
-        assert svgp.trace_gap(kern, data.X, ops) == pytest.approx(9 * kern.variance)
+        assert svgp.trace_gap(ops) == pytest.approx(9 * kern.variance)
 
 
 class TestTraceGap:
     def test_zero_for_full_set(self):
         data, kern, _ = make_instance(7, n=20)
         ops = svgp.feature_operators(svgp.Points(data.X), kern, data.X)
-        assert svgp.trace_gap(kern, data.X, ops) <= 1e-8
+        assert svgp.trace_gap(ops) <= 1e-8
 
     def test_eigenvector_features_give_spectral_tail(self):
         data, kern, _ = make_instance(8, n=40)
@@ -173,11 +173,22 @@ class TestTraceGap:
         ops = svgp.feature_operators(feats, kern, data.X)
         w = np.linalg.eigvalsh(kernels.gram(kern, data.X))[::-1]
         tail = float(np.sum(w[8:]))
-        assert svgp.trace_gap(kern, data.X, ops) == pytest.approx(tail, rel=1e-8)
+        assert svgp.trace_gap(ops) == pytest.approx(tail, rel=1e-8)
 
     def test_negative_gap_raises(self):
         with pytest.raises(NumericalInconsistencyError, match="trace gap"):
             svgp._trace_gap_from(np.ones(4), 2 * np.eye(4))
+
+    def test_reads_the_prior_diagonal_of_ops(self):
+        # t is the sum of ops.kff_diag less the whitened share, bit for bit
+        # what the diagonal of the Gram at ops's own inputs gives.
+        data, kern, _ = make_instance(9, n=50)
+        ops = svgp.feature_operators(svgp.Points(data.X[:6]), kern, data.X)
+        A, _ = svgp._whiten(ops)
+        t = svgp.trace_gap(ops)
+        assert t == svgp._trace_gap_from(kernels.gram_diag(kern, data.X), A)
+        doubled = svgp.FeatureOperators(ops.Kuu, ops.Kuf, 2.0 * ops.kff_diag)
+        assert svgp.trace_gap(doubled) == pytest.approx(t + np.sum(ops.kff_diag), rel=1e-12)
 
 
 class TestLambdaMax:
@@ -207,7 +218,7 @@ class TestLambdaMax:
             data, kern, _ = make_instance(20 + seed, n=60)
             Z = data.X[inducing.uniform_subset(60, 6, seed)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
-            t = svgp.trace_gap(kern, data.X, ops)
+            t = svgp.trace_gap(ops)
             lam = lambda_max(kern, data.X, ops)
             assert 0.0 <= lam <= t * (1 + 1e-8)
 
@@ -263,7 +274,7 @@ class TestLambdaMax:
         for seed in range(20):
             X = np.random.default_rng(seed).normal(size=(n, 1))
             ops = svgp.feature_operators(svgp.Points(X[:m]), kern, X)
-            t = svgp.trace_gap(kern, X, ops)
+            t = svgp.trace_gap(ops)
             assert 0.0 <= lambda_max(kern, X, ops) <= t
 
     def test_basis_cap_raises(self, monkeypatch):
@@ -301,7 +312,7 @@ class TestUpperBounds:
         data, kern, noise = make_instance(12)
         ops = svgp.feature_operators(svgp.Points(data.X), kern, data.X)
         lml = gp_exact.log_marginal_likelihood(gp_exact.dense_system(data.X, kern, noise), data.y)
-        t = svgp.trace_gap(kern, data.X, ops)
+        t = svgp.trace_gap(ops)
         lam = lambda_max(kern, data.X, ops)
         # t is round-off-sized here, so the collapse holds to ~t * ||y||^2 / s^4.
         assert svgp.upper_bound(ops, data.y, noise, t) == pytest.approx(lml, abs=1e-5)
@@ -313,7 +324,7 @@ class TestUpperBounds:
         data, kern, noise = make_instance(13)
         Z = data.X[inducing.uniform_subset(50, 5, 1)]
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
-        t = svgp.trace_gap(kern, data.X, ops)
+        t = svgp.trace_gap(ops)
         assert svgp.refined_upper_bound(ops, data.y, noise, t) == pytest.approx(
             svgp.upper_bound(ops, data.y, noise, t), abs=1e-12
         )
@@ -323,7 +334,7 @@ class TestUpperBounds:
             data, kern, noise = make_instance(30 + seed)
             Z = data.X[inducing.uniform_subset(50, 8, seed)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
-            t = svgp.trace_gap(kern, data.X, ops)
+            t = svgp.trace_gap(ops)
             lam = lambda_max(kern, data.X, ops)
             el = svgp.elbo(ops, data.y, noise)
             lml = gp_exact.log_marginal_likelihood(
@@ -340,7 +351,7 @@ class TestUpperBounds:
         rng = np.random.default_rng(3)
         Z = rng.normal(0, 1, (6, 1))
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
-        t = svgp.trace_gap(kern, data.X, ops)
+        t = svgp.trace_gap(ops)
         K = kernels.gram(kern, data.X) + noise.variance * np.eye(50)
         dense_lml = (
             -0.5 * data.y @ np.linalg.solve(K, data.y)
@@ -355,7 +366,7 @@ class TestUpperBounds:
         data, kern, noise = make_instance(15, n=200)
         feats = inducing.eigenvector_features(kernels.gram(kern, data.X), data.X, 5)
         ops = svgp.feature_operators(feats, kern, data.X)
-        t = svgp.trace_gap(kern, data.X, ops)
+        t = svgp.trace_gap(ops)
         lam = lambda_max(kern, data.X, ops)
         assert lam < t
         refined = svgp.refined_upper_bound(ops, data.y, noise, lam)
@@ -405,7 +416,7 @@ class TestOptimalQ:
         sol = svgp.optimal_q(ops, data.y, noise)
         s2 = noise.variance
         P = np.linalg.solve(ops.Kuu, ops.Kuf).T
-        t = svgp.trace_gap(kern, data.X, ops)
+        t = svgp.trace_gap(ops)
 
         def uncollapsed(mu, Sigma):
             resid = data.y - P @ mu
@@ -536,7 +547,7 @@ class TestKLExact:
             data, kern, noise = make_instance(200 + seed, n=40)
             Z = data.X[inducing.uniform_subset(40, 6, seed)]
             ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
-            t = svgp.trace_gap(kern, data.X, ops)
+            t = svgp.trace_gap(ops)
             lam = lambda_max(kern, data.X, ops)
             kl = svgp.kl_exact(data, kern, noise, ops)
             tight, loose = bounds.lemma1(t, lam, float(data.y @ data.y), noise.variance)
@@ -597,6 +608,24 @@ class TestMonotonicity:
             prev_elbo, prev_kl = el, kl
 
 
+class TestWhiten:
+    def test_uneven_pivots_factor_kuu_plus_jitter(self):
+        # Two inducing points 1e-6 apart put Kuu's squared-pivot ratio near
+        # 1e-12, below the 1e-10 floor, so Kuu + 1e-10 * mean(diag Kuu) * I
+        # is factored instead: bit for bit the factor of that sum.
+        kern = kernels.squared_exponential(1.0, [1.0])
+        Z = np.array([[0.0], [1e-6], [1.0]])
+        ops = svgp.feature_operators(svgp.Points(Z), kern, np.linspace(-2.0, 2.0, 30)[:, None])
+        pivots = np.diag(chol.factor(ops.Kuu).L) ** 2
+        assert pivots.min() < 1e-10 * pivots.max()
+        A, f = svgp._whiten(ops)
+        jitter = 1e-10 * float(np.mean(np.diag(ops.Kuu)))
+        g = chol.factor(ops.Kuu + jitter * np.eye(3))
+        assert f.L.tobytes() == g.L.tobytes()
+        assert f.jitter_used == jitter + g.jitter_used == jitter
+        assert A.tobytes() == chol.solve_lower(g.L, ops.Kuf).tobytes()
+
+
 class TestResidualPSD:
     def test_residual_psd_for_subset_points(self):
         # Greedy subsets keep Kuu well conditioned so the dense check stays
@@ -615,11 +644,11 @@ class TestEvaluate:
         data, kern, noise = make_instance(26, n=40)
         Z = data.X[inducing.uniform_subset(40, 8, 0)]
         ops = svgp.feature_operators(svgp.Points(Z), kern, data.X)
-        t = svgp.trace_gap(kern, data.X, ops)
+        t = svgp.trace_gap(ops)
         lam = lambda_max(kern, data.X, ops)
         K = gp_exact.dense_gram(data.X, kern)
         res = svgp.residual(svgp.Points(Z), kern, data.X, K)
-        dense = gp_exact.DenseSystem.from_gram(K, noise)
+        dense = chol.factor(K, noise.variance)
         report = svgp.evaluate(data.y, noise, res, gp_exact.log_marginal_likelihood(dense, data.y))
         assert report.t == t
         assert report.lambda_max_tilde == lam
